@@ -50,6 +50,12 @@ from repro.serving import (
     Server,
 )
 from repro.structured.factor import BTAFactor, DistributedBTAFactor, factorize
+from repro.backend.threads import apply_budget
+
+# Process-wide side effect: pin both bundled OpenBLAS copies to one
+# thread (unless OPENBLAS_NUM_THREADS / OMP_NUM_THREADS is set) so the
+# package's own S1/S2/S3 layers own the cores — see repro.backend.threads.
+apply_budget()
 
 __all__ = [
     # modeling + inference

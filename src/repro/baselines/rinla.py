@@ -78,8 +78,11 @@ class RINLAEngine:
             if theta0 is None
             else np.asarray(theta0, dtype=np.float64)
         )
-        opt = bfgs_minimize(self.evaluator, theta0, options)
-        H = fd_hessian(self.evaluator, opt.theta, h=hessian_step, f_center=opt.fobj)
+        try:
+            opt = bfgs_minimize(self.evaluator, theta0, options)
+            H = fd_hessian(self.evaluator, opt.theta, h=hessian_step, f_center=opt.fobj)
+        finally:
+            self.evaluator.close()
         cov = np.linalg.inv(hyperparameter_precision(H))
         hyper = HyperMarginals(mode=opt.theta.copy(), covariance=cov)
 

@@ -26,12 +26,16 @@ user reaches for first:
                    model for a given model shape and GPU count;
 - ``datasets``   — print the paper's Table IV configurations;
 - ``backends``   — list registered execution backends with their
-                   capability flags (which one ``REPRO_BACKEND`` selects).
+                   capability flags (which one ``REPRO_BACKEND`` selects),
+                   then one CPU-budget line: affinity cores, each bundled
+                   OpenBLAS copy's thread count, and whether an
+                   environment variable overrode the one-thread pin.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -286,7 +290,7 @@ def _cmd_datasets(args) -> int:
 
 
 def _cmd_backends(args) -> int:
-    from repro.backend import available_backends, get_backend
+    from repro.backend import available_backends, get_backend, threads
     from repro.diagnostics import format_table
 
     active = get_backend()
@@ -305,6 +309,14 @@ def _cmd_backends(args) -> int:
         ["name", "host", "lapack", "batched trsm", "batched potrf", "active"], rows,
         title="Registered backends (select with REPRO_BACKEND=<name>)",
     ))
+    blas = ", ".join(
+        f"{lib} {'not found' if n is None else n}"
+        for lib, n in threads.blas_threads().items()
+    )
+    var = threads.env_override()
+    override = f"{var}={os.environ[var]}" if var else "none"
+    print(f"CPU budget: {threads.cpu_budget()} affinity cores; "
+          f"OpenBLAS threads: {blas}; env override: {override}")
     return 0
 
 

@@ -66,10 +66,11 @@ class DALIA:
         precision matrix for the whole stencil
         (:func:`repro.structured.multifactor.factorize_batch`); the pool
         remains the fallback for distributed solvers and infeasible
-        batches.
+        batches.  The pool width is clamped to the CPU budget (see
+        :class:`repro.inla.evaluator.FobjEvaluator`).
     s2_parallel:
         Factorize ``Qp`` and ``Qc`` concurrently (strategy S2; per-point
-        path only).
+        path only, and only while the clamped S1 width is 1).
     batch_stencils:
         Force (True) / disable (False) the theta-batched stencil sweep;
         None follows the solver type and ``REPRO_BATCHED``.
@@ -148,14 +149,20 @@ class DALIA:
     ) -> INLAResult:
         """Run the full INLA pipeline and return posterior summaries."""
         theta0 = self.default_start() if theta0 is None else np.asarray(theta0, dtype=np.float64)
-        opt = bfgs_minimize(self.evaluator, theta0, options)
+        try:
+            opt = bfgs_minimize(self.evaluator, theta0, options)
 
-        # The final accepted line-search evaluation retained its Qc handle
-        # on the evaluator's LRU; grab it before the Hessian batch floods
-        # the cache so the mode posterior can reuse the factorization.
-        mode_factor = self.evaluator.cached_factor(opt.theta)
+            # The final accepted line-search evaluation retained its Qc
+            # handle on the evaluator's LRU; grab it before the Hessian
+            # batch floods the cache so the mode posterior can reuse the
+            # factorization.
+            mode_factor = self.evaluator.cached_factor(opt.theta)
 
-        H = fd_hessian(self.evaluator, opt.theta, h=hessian_step, f_center=opt.fobj)
+            H = fd_hessian(self.evaluator, opt.theta, h=hessian_step, f_center=opt.fobj)
+        finally:
+            # The evaluator's executor threads end with the last objective
+            # evaluation of the fit.
+            self.evaluator.close()
         precision = hyperparameter_precision(H)
         cov = np.linalg.inv(precision)
         hyper = HyperMarginals(mode=opt.theta.copy(), covariance=cov)

@@ -16,7 +16,10 @@ embarrassingly parallel.  :class:`FobjEvaluator` exploits that two ways:
   instead of ``2 d + 1`` thin ones.
 - **thread-pooled per-point evaluation** (the fallback): a pool of
   ``s1`` workers, mirroring the paper's MPI groups ``G_S1`` — NumPy's
-  LAPACK releases the GIL, so the factorizations genuinely overlap.
+  LAPACK releases the GIL, so the factorizations genuinely overlap.  The
+  pool is one persistent executor the evaluator owns, sized to the
+  process CPU budget (:mod:`repro.backend.threads`, which also pins BLAS
+  to one thread so the pool's threads are the only ones computing).
   Used for distributed (S3) solvers, subclassed engines, pinned
   per-block kernels, and to resolve which theta of a batch went
   non-positive-definite.
@@ -39,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.backend import threads
 from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import get_backend
 from repro.inla.objective import (
@@ -109,11 +113,20 @@ class FobjEvaluator:
         path; a distributed solver (or ``batched=False`` pin) keeps the
         per-point evaluation.
     s1_workers:
-        Thread-pool width of the per-point fallback path.
+        Requested thread-pool width of the per-point fallback path.  The
+        effective width :attr:`s1_width` is clamped to the CPU budget:
+        ``min(s1_workers, max(1, cpu_budget() // (2 if s2_parallel else
+        1)))`` with :func:`repro.backend.threads.cpu_budget`, so the
+        workers never outnumber the cores they share (BLAS runs one
+        thread each).
     s2_parallel:
         Factorize ``Qp`` / ``Qc`` of one point concurrently (per-point
         path only; the batch sweep factorizes them back-to-back as two
-        theta-batched launches).
+        theta-batched launches).  The evaluator's one executor serves S1
+        when :attr:`s1_width` is above 1 and S2 otherwise, never both:
+        under a wider S1 pool each worker factorizes its pair in turn,
+        so no task ever waits on another task of its own pool.  Every
+        combination gives the same bits.
     batch_stencils:
         Force (True) or disable (False) the theta-batched stencil sweep;
         None (default) enables it whenever the solver is sequential, the
@@ -137,6 +150,10 @@ class FobjEvaluator:
         memory).  Only single-point evaluations (``__call__`` — the
         line-search / convergence pattern) retain handles; stencil
         batches never do, on either path.
+
+    The executor starts its threads on first use and :meth:`close` shuts
+    it down (a later evaluation starts a new one);
+    :meth:`repro.inla.dalia.DALIA.fit` closes it when the fit ends.
 
     Accounting: a per-point evaluation runs exactly 2 ``pobtaf`` sweeps
     (one per precision matrix, shared by logdet + solve through the
@@ -167,6 +184,10 @@ class FobjEvaluator:
         self.solver = solver
         self.s1_workers = s1_workers
         self.s2_parallel = s2_parallel
+        #: Effective S1 width: ``s1_workers`` clamped to the CPU budget.
+        self.s1_width = min(
+            s1_workers, max(1, threads.cpu_budget() // (2 if s2_parallel else 1))
+        )
         self.batch_stencils = batch_stencils
         self.cache_size = cache_size
         self.cached_factors = cached_factors
@@ -176,6 +197,8 @@ class FobjEvaluator:
         self.n_cache_hits = 0
         self._cache: OrderedDict = OrderedDict()
         self._cache_lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
         # Reusable theta-first assembly stacks for the batch sweep (grown
         # to the largest stencil width seen, overwritten every batch).
         self._assembly_ws: AssemblyWorkspace | None = None
@@ -203,12 +226,15 @@ class FobjEvaluator:
             return False
         if self.batch_stencils is not None:
             return self.batch_stencils
-        if not batched_enabled(None):
+        backend = get_backend()
+        # REPRO_BATCHED=0 selects the per-point path only on a backend
+        # that can run the per-block kernels (see batched_enabled).
+        if not batched_enabled(None, backend):
             return False
         # A backend with genuinely batched POTRF (mock device, CuPy) has
         # no dispatch-bound crossover: one fat launch beats t thin ones at
         # any block size, so the host-measured ceiling does not apply.
-        if get_backend().has_batched_potrf:
+        if backend.has_batched_potrf:
             return True
         # Auto mode stays per-point above the measured host crossover
         # (dispatch amortization pays for b <= _BATCH_STENCIL_MAX_B).
@@ -263,6 +289,32 @@ class FobjEvaluator:
         with self._cache_lock:
             self._cache.clear()
 
+    # -- the executor ------------------------------------------------------
+
+    def _executor(self) -> ThreadPoolExecutor:
+        """The evaluator's one executor: ``s1_width`` S1 workers, or the
+        single S2 worker that factorizes ``Qp`` next to the caller."""
+        with self._pool_lock:
+            if self._pool is None:
+                s1 = self.s1_width > 1
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.s1_width if s1 else 1,
+                    thread_name_prefix="repro-s1" if s1 else "repro-s2",
+                )
+            return self._pool
+
+    def _s2_pool(self) -> ThreadPoolExecutor | None:
+        if self.s2_parallel and self.s1_width == 1:
+            return self._executor()
+        return None
+
+    def close(self) -> None:
+        """Shut the executor down (idempotent; later use restarts it)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
     # -- evaluation paths --------------------------------------------------
 
     def _eval_one(self, theta: np.ndarray) -> FobjResult:
@@ -271,7 +323,7 @@ class FobjEvaluator:
             self.model,
             theta,
             solver=self.solver,
-            s2_parallel=self.s2_parallel,
+            s2_pool=self._s2_pool(),
         )
 
     def __call__(self, theta: np.ndarray) -> FobjResult:
@@ -296,7 +348,7 @@ class FobjEvaluator:
                 self.model,
                 theta,
                 solver=self.solver,
-                s2_parallel=self.s2_parallel,
+                s2_pool=self._s2_pool(),
                 keep_factor=True,
             )
         else:
@@ -305,12 +357,12 @@ class FobjEvaluator:
         return res
 
     def _eval_pooled(self, thetas: list) -> list:
-        """The historical per-point path: thread pool of ``s1`` workers."""
-        if self.s1_workers == 1 or len(thetas) == 1:
+        """The per-point path: ``s1_width`` workers of the executor."""
+        if self.s1_width == 1 or len(thetas) == 1:
             return [self._eval_one(t) for t in thetas]
-        with ThreadPoolExecutor(max_workers=min(self.s1_workers, len(thetas))) as pool:
-            futures = [pool.submit(self._eval_one, t) for t in thetas]
-            return [f.result() for f in futures]
+        pool = self._executor()
+        futures = [pool.submit(self._eval_one, t) for t in thetas]
+        return [f.result() for f in futures]
 
     def _eval_batch_sweep(self, thetas: list) -> list | None:
         """All stencil points through one batched assembly + two sweeps.

@@ -23,7 +23,7 @@ positive definite yield ``fobj = -inf`` so the optimizer backtracks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,15 +147,16 @@ def evaluate_fobj(
     theta: np.ndarray,
     *,
     solver: StructuredSolver | None = None,
-    s2_parallel: bool = False,
+    s2_pool: Executor | None = None,
     keep_mu: bool = False,
     keep_factor: bool = False,
 ) -> FobjResult:
     """Evaluate ``fobj(theta)`` (one stencil point of strategy S1).
 
-    ``s2_parallel=True`` factorizes ``Qp`` and ``Qc`` concurrently in two
-    threads (paper strategy S2 — valid because the Gaussian likelihood
-    makes the two matrices independent).  ``keep_factor=True`` attaches
+    With an ``s2_pool`` executor, ``Qp`` is factorized on it while ``Qc``
+    is factorized in the calling thread (paper strategy S2 — valid
+    because the Gaussian likelihood makes the two matrices independent);
+    both orders give the same bits.  ``keep_factor=True`` attaches
     the ``Qc`` factorization handle to the result so a caching caller
     (the evaluator's theta-keyed LRU) can serve later consumers at this
     theta without refactorizing.
@@ -182,12 +183,14 @@ def evaluate_fobj(
         return f, f.logdet(), f.solve(sys.rhs)
 
     try:
-        if s2_parallel:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                fut_p = pool.submit(factor_qp)
-                fut_c = pool.submit(factor_qc)
+        if s2_pool is not None:
+            fut_p = s2_pool.submit(factor_qp)
+            try:
+                fc, logdet_c, mu_perm = factor_qc()
+            finally:
+                # Join the Qp task even when Qc failed, so no abandoned
+                # task keeps the S2 worker busy; its own error surfaces here.
                 logdet_p = fut_p.result()
-                fc, logdet_c, mu_perm = fut_c.result()
         else:
             logdet_p = factor_qp()
             fc, logdet_c, mu_perm = factor_qc()

@@ -22,9 +22,9 @@ simulated threads.  :func:`factorize_reduced` replaces it: in ``shared``
 mode (the default) rank 0 factorizes ONCE and broadcasts the factor's
 block stacks; under the thread backend the broadcast is a zero-copy
 reference hand-off, under the process/MPI backends it is one small
-message instead of ``P`` redundant sweeps.  Both modes are bit-identical
-— every rank assembled the same reduced matrix from the same ordered
-contributions, and ``pobtaf`` is deterministic — so ``redundant``
+message instead of ``P`` redundant sweeps.  Both modes give bit-identical
+factor stacks — every rank assembled the same reduced matrix from the
+same ordered contributions, and ``pobtaf`` is deterministic — so ``redundant``
 (``REPRO_REDUCED=redundant``) remains available as an A/B reference.
 """
 
@@ -157,11 +157,15 @@ def factorize_reduced(
 
     Collective over ``comm``.  In ``shared`` mode rank 0 factorizes its
     assembled copy in place and broadcasts the factor's block stacks
-    (``diag``/``lower``/``arrow``/``tip``); the other ranks wrap the
-    received stacks in a :class:`~repro.structured.pobtaf.BTACholesky`
-    without running a sweep.  Bit-identical to ``redundant`` mode because
-    every rank assembled the identical reduced matrix.  Returns this
-    rank's factor handle.
+    (``diag``/``lower``/``arrow``/``tip``); every rank, rank 0 included,
+    then wraps the stacks in a fresh
+    :class:`~repro.structured.pobtaf.BTACholesky`.  Rank 0 drops the
+    ``L[i,i]^{-1}`` by-product of its sweep on purpose: the sweep inverts
+    the Fortran-ordered POTRF output while a fresh handle inverts the
+    C-ordered stack, and at some block sizes (``b = 64``, ``b = 120``)
+    the two differ in the last bits.  The replicated tip of every later
+    solve must be bit-identical across ranks, so all ranks derive the
+    inverses the same way.  Returns this rank's factor handle.
     """
     from repro.structured.pobtaf import BTACholesky, pobtaf
 
@@ -170,9 +174,8 @@ def factorize_reduced(
     if scheme == "redundant" or comm.Get_size() == 1:
         return pobtaf(reduced.matrix, overwrite=True, batched=use_batched)
     if comm.Get_rank() == 0:
-        chol = pobtaf(reduced.matrix, overwrite=True, batched=use_batched)
-        f = chol.factor
+        f = pobtaf(reduced.matrix, overwrite=True, batched=use_batched).factor
         comm.bcast((f.diag, f.lower, f.arrow, f.tip), root=0)
-        return chol
+        return BTACholesky(f)
     diag, lower, arrow, tip = comm.bcast(None, root=0)
     return BTACholesky(BTAMatrix(diag, lower, arrow, tip))

@@ -8,6 +8,8 @@ pipeline — SPDE assembly, LMC, permutation, BTA solvers — against dense
 linear algebra.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from repro.inla import DistributedSolver, SequentialSolver, evaluate_fobj
@@ -76,8 +78,9 @@ class TestObjectiveExactness:
 
     def test_s2_parallel_identical(self, tiny_model):
         model, gt, _ = tiny_model
-        f1 = evaluate_fobj(model, gt.theta, s2_parallel=False).value
-        f2 = evaluate_fobj(model, gt.theta, s2_parallel=True).value
+        f1 = evaluate_fobj(model, gt.theta).value
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            f2 = evaluate_fobj(model, gt.theta, s2_pool=pool).value
         assert np.isclose(f1, f2, atol=1e-12)
 
     def test_invalid_theta_gives_minus_inf(self, tiny_uni_model):

@@ -196,6 +196,9 @@ class TestWorkflowSemantics:
         assert any("bench_assembly" in r for r in runs)
         assert any("bench_backend_transfers" in r for r in runs)
         assert any("bench_serving" in r for r in runs)
+        # The end-to-end benchmark's self-test runs every workload's output
+        # checks at reduced size, ahead of the perf gates.
+        assert runs[1] == "python3 e2e_bench/run.py --self-test"
 
     def test_proc_backend_job(self):
         """The comm/structured suites must also run over real worker
