@@ -25,37 +25,31 @@ def bta_case(n, b, a, seed=0):
     return A, rng.standard_normal(A.N)
 
 
-def epoch_job(comm, slices, rhs, batched):
+def epoch_job(comm, slices, rhs):
     """One d_pobtaf + d_pobtas epoch; returns this rank's solution slice
     plus its local ``pobtaf`` sweep delta (= reduced-system sweeps: the
     interior eliminations never call ``pobtaf``)."""
     before = FACTORIZATIONS.count
     sl = slices[comm.Get_rank()]
     b = sl.diag.shape[1]
-    f = d_pobtaf(sl, comm, batched=batched)
-    xl, xt = d_pobtas(
-        f,
-        rhs[sl.part.start * b : sl.part.stop * b],
-        rhs[rhs.shape[0] - f.a :],
-        comm,
-        batched=batched,
-    )
+    f = d_pobtaf(sl, comm)
+    xl, xt = d_pobtas(f, rhs[sl.part.start * b : sl.part.stop * b], rhs[rhs.shape[0] - f.a :], comm)
     return xl, xt, FACTORIZATIONS.count - before
 
 
-def timed_epoch(A, rhs, P, backend, *, batched=None, lb=1.6):
+def timed_epoch(A, rhs, P, backend, *, lb=1.6):
     """Run one distributed epoch under ``backend``.
 
     Returns ``(seconds, x, reduced_sweeps)`` where ``reduced_sweeps`` is
-    the number of reduced-system factorizations the epoch ran — ``P``
-    under the legacy redundant scheme, 1 under the shared scheme.  For
+    the number of reduced-system factorizations the epoch ran (one: rank
+    0 factorizes the reduced system and broadcasts the factor).  For
     the proc backend the wall time includes forking the workers and
     mapping the shared segment (the cost ``SpmdSession`` amortizes).
     """
     slices = partition_matrix(A, P, lb=lb)
     before = FACTORIZATIONS.count
     with Timer() as t:
-        out = run_spmd(P, epoch_job, slices, rhs, batched, backend=backend)
+        out = run_spmd(P, epoch_job, slices, rhs, backend=backend)
     x = np.concatenate([o[0] for o in out] + [out[0][1]])
     if backend == "proc" and P > 1:
         # Each worker counted its own process-local sweeps.

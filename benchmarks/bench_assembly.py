@@ -4,7 +4,7 @@ One BFGS iteration assembles the ``t = 2 d + 1`` gradient-stencil
 systems.  Three strategies over the same thetas:
 
 - **sparse reference** — the historical scipy path
-  (``assemble_reference``: ``sp.kron`` products, CSR block-mix/adds,
+  (``tests/oracle/assembly.py``: ``sp.kron`` products, CSR block-mix/adds,
   two alignment passes, CSR permutation, fresh ``BTAMapping.map``),
 - **looped plan** — the rewritten ``assemble`` (the ``t = 1`` case of
   the symbolic plan: scalar coefficients + fancy-indexed value passes,
@@ -39,6 +39,8 @@ the floor)::
     PYTHONPATH=src python -m pytest benchmarks/bench_assembly.py -s
 """
 
+import pathlib
+import sys
 import time
 from dataclasses import dataclass
 
@@ -46,6 +48,11 @@ import numpy as np
 
 from repro.model.assembler import AssemblyWorkspace
 from repro.model.datasets import make_dataset
+
+# The sparse reference lives with the tests; make the repo root importable
+# when this file runs as a script.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.oracle.assembly import assemble_reference  # noqa: E402
 
 try:  # pytest-only import (the module is also runnable stand-alone)
     from benchmarks.conftest import write_report
@@ -116,7 +123,7 @@ def run_case(model, gt, label: str, d: int, reps: int = 5) -> CaseResult:
         )
         bit_identical = bit_identical and np.array_equal(batch.rhs[i], sys.rhs)
         if i < 3:
-            ref = model.assemble_reference(thetas[i])
+            ref = assemble_reference(model, thetas[i])
             err = max(err, _max_rel_err(sys.qp, ref.qp), _max_rel_err(sys.qc, ref.qc))
 
     # Paired timing: looped plan vs batched plan.
@@ -135,7 +142,7 @@ def run_case(model, gt, label: str, d: int, reps: int = 5) -> CaseResult:
     t_sparse = []
     for th in thetas[:3]:
         t0 = time.perf_counter()
-        model.assemble_reference(th)
+        assemble_reference(model, th)
         t_sparse.append(time.perf_counter() - t0)
 
     flops_linear = model.plan.flops(t) == t * model.plan.flops(1)

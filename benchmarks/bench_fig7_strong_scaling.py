@@ -105,36 +105,33 @@ def test_fig7_measured_strong_scaling(benchmark, results_dir):
     benchmark.pedantic(ev.value_and_gradient, args=(gt.theta,), rounds=2, iterations=1)
 
 
-def test_fig7_measured_comm_backend(results_dir, comm_mode, monkeypatch):
-    """S3 epoch under the ``--comm`` backend, shared vs redundant reduced
+def test_fig7_measured_comm_backend(results_dir, comm_mode):
+    """S3 epoch under the ``--comm`` backend with the shared reduced
     factorization.
 
     The reduced (separator) system used to be factorized by every rank;
-    the shared scheme runs ONE sweep per epoch and broadcasts the factor.
-    The sweeps column must read ``P`` under ``redundant`` and ``1`` under
-    ``shared`` on either backend — for ``--comm proc`` the counts come
-    from the workers' own process-local counters, so they prove the
-    behavior over real process boundaries.
+    rank 0 now runs ONE sweep per epoch and broadcasts the factor.  The
+    sweeps column must read ``1`` for every ``P`` on either backend — for
+    ``--comm proc`` the counts come from the workers' own process-local
+    counters, so they prove the behavior over real process boundaries.
     """
     A, rhs = bta_case(n=24, b=24, a=3, seed=7)  # SA1-flavored: nt blocks of nv*ns
     x_ref = pobtas(pobtaf(A), rhs)
     rows = []
     for P in (2, 4):
-        for scheme in ("redundant", "shared"):
-            monkeypatch.setenv("REPRO_REDUCED", scheme)
-            secs, x, sweeps = timed_epoch(A, rhs, P, comm_mode)
-            assert np.allclose(x, x_ref, atol=1e-8)
-            assert sweeps == (P if scheme == "redundant" else 1)
-            rows.append((P, scheme, comm_mode, round(secs, 3), sweeps))
+        secs, x, sweeps = timed_epoch(A, rhs, P, comm_mode)
+        assert np.allclose(x, x_ref, atol=1e-8)
+        assert sweeps == 1
+        rows.append((P, comm_mode, round(secs, 3), sweeps))
     write_report(
         results_dir,
         "fig7_comm",
         format_table(
-            ["P", "reduced scheme", "backend", "s/epoch", "reduced sweeps"],
+            ["P", "backend", "s/epoch", "reduced sweeps"],
             rows,
             title=(
-                "Fig. 7 (measured S3 leg): reduced-system factorizations per "
-                "epoch drop P -> 1 under the shared scheme"
+                "Fig. 7 (measured S3 leg): one reduced-system factorization "
+                "per epoch, whatever P"
             ),
         ),
     )

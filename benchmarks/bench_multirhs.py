@@ -77,23 +77,23 @@ def run_case(n: int, b: int, k: int, a: int = 4, reps: int = 5, seed: int = 0) -
     """Time stacked vs looped multi-RHS sweeps on one shape."""
     rng = np.random.default_rng(seed)
     A = BTAMatrix.random_spd(BTAShape(n=n, b=b, a=a), rng)
-    chol = pobtaf(A, batched=True)
+    chol = pobtaf(A)
     chol.diag_inverses()  # both strategies consume the same cached inverses
     stack = rng.standard_normal((k, A.N))
 
     def looped_solve():
-        return np.stack([pobtas(chol, stack[j], batched=True) for j in range(k)])
+        return np.stack([pobtas(chol, stack[j]) for j in range(k)])
 
     def looped_lt():
-        return np.stack([pobtas_lt(chol, stack[j], batched=True) for j in range(k)])
+        return np.stack([pobtas_lt(chol, stack[j]) for j in range(k)])
 
-    t_ss = _best(lambda: pobtas_stack(chol, stack, batched=True), reps)
+    t_ss = _best(lambda: pobtas_stack(chol, stack), reps)
     t_sl = _best(looped_solve, reps)
-    t_ls = _best(lambda: pobtas_lt_stack(chol, stack, batched=True), reps)
+    t_ls = _best(lambda: pobtas_lt_stack(chol, stack), reps)
     t_ll = _best(looped_lt, reps)
 
-    err_solve = float(np.max(np.abs(pobtas_stack(chol, stack, batched=True) - looped_solve())))
-    err_lt = float(np.max(np.abs(pobtas_lt_stack(chol, stack, batched=True) - looped_lt())))
+    err_solve = float(np.max(np.abs(pobtas_stack(chol, stack) - looped_solve())))
+    err_lt = float(np.max(np.abs(pobtas_lt_stack(chol, stack) - looped_lt())))
     flops_linear = (
         bta_solve_flops(n, b, a, k, stacked=True)
         == bta_solve_flops(n, b, a, k, stacked=False)

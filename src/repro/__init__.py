@@ -24,7 +24,7 @@ directly — deep module paths stay available but are not needed):
 See README.md for a quickstart and DESIGN.md for the full system map.
 """
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 from repro import errors, faults, serving
 from repro.errors import ReproError, is_transient

@@ -8,44 +8,15 @@ and allocator hooks); this module keeps the historical free-function
 entry points as delegating wrappers so existing call sites — and the
 flop accounting layered on top (see :mod:`repro.perfmodel`) — keep
 working unchanged.
-
-The shim also owns the ``REPRO_BATCHED`` execution-policy switch consulted
-by the structured solvers: ``1`` (default) routes them through the stacked
-kernels of :mod:`repro.structured.batched`, ``0`` forces the per-block
-reference kernels of :mod:`repro.structured.kernels`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.backend.protocol import NUMPY_BACKEND, backend_for, get_backend
 
 _DEFAULT_DTYPE = np.float64
-
-_FALSY = frozenset({"0", "false", "off", "no"})
-
-
-def batched_enabled(override: bool | None = None, backend=None) -> bool:
-    """Resolve the batched-kernel switch.
-
-    A ``backend`` without host LAPACK comes first and wins
-    unconditionally: the per-block reference path is direct SciPy/LAPACK
-    dispatch, which is unreachable on a device backend (mock or CuPy) —
-    ``REPRO_BATCHED=0`` and explicit ``batched=False`` select the
-    reference kernels only where they can actually run.  Otherwise
-    ``override`` (a solver's explicit ``batched=`` argument) wins when
-    not None, and the ``REPRO_BATCHED`` environment variable decides the
-    rest, defaulting to enabled.  Read per call so tests and A/B
-    benchmarks can flip the path without re-importing modules.
-    """
-    if backend is not None and not (backend.is_host and backend.has_lapack):
-        return True
-    if override is not None:
-        return bool(override)
-    return os.environ.get("REPRO_BATCHED", "1").strip().lower() not in _FALSY
 
 
 def is_host_module(xp) -> bool:

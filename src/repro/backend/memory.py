@@ -29,7 +29,7 @@ def bta_memory_bytes(n: int, b: int, a: int, *, factors: float = 2) -> int:
     accounts for the matrix plus one workspace copy, matching the solver's
     in-place-factorization-plus-original layout used during selected
     inversion.  Fractional factors express partial side allocations such
-    as the batched path's cached ``L[i,i]^{-1}`` stack (~0.5x, see
+    as the factorization's cached ``L[i,i]^{-1}`` stack (~0.5x, see
     :data:`repro.inla.solvers.WORKLOAD_FACTORS`).
     """
     if n <= 0 or b <= 0 or a < 0:

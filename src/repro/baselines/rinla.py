@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.sparse_solver import SparseCholesky, sparse_selected_inverse_diagonal
+from repro.errors import NotPositiveDefiniteError
 from repro.inla.bfgs import BFGSOptions, bfgs_minimize
 from repro.inla.evaluator import FobjEvaluator
 from repro.inla.hessian import fd_hessian, hyperparameter_precision
@@ -20,7 +21,6 @@ from repro.inla.marginals import HyperMarginals, LatentMarginals
 from repro.inla.objective import FobjResult
 from repro.inla.dalia import INLAResult
 from repro.model.assembler import CoregionalSTModel
-from repro.structured.kernels import NotPositiveDefiniteError
 
 
 class SparseFobjEvaluator(FobjEvaluator):

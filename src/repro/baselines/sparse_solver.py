@@ -41,7 +41,7 @@ class SparseCholesky:
         )
         diag_u = self._lu.U.diagonal()
         if np.any(diag_u <= 0):
-            from repro.structured.kernels import NotPositiveDefiniteError
+            from repro.errors import NotPositiveDefiniteError
 
             raise NotPositiveDefiniteError("matrix is not positive definite")
         self._logdet = float(np.sum(np.log(diag_u)))

@@ -73,7 +73,7 @@ class DALIA:
         path only, and only while the clamped S1 width is 1).
     batch_stencils:
         Force (True) / disable (False) the theta-batched stencil sweep;
-        None follows the solver type and ``REPRO_BATCHED``.
+        None follows the solver type and block size.
     cache_size:
         Theta-keyed LRU capacity on the evaluator: the line search and
         convergence checks revisit thetas, and hits skip assembly and

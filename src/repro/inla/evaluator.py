@@ -43,8 +43,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.backend import threads
-from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import get_backend
+from repro.errors import NotPositiveDefiniteError
 from repro.inla.objective import (
     FobjResult,
     evaluate_fobj,
@@ -56,7 +56,6 @@ from repro.inla.nongaussian import (
 )
 from repro.inla.solvers import SequentialSolver, StructuredSolver
 from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.multifactor import factorize_batch
 
 
@@ -109,9 +108,8 @@ class FobjEvaluator:
         The assembled latent Gaussian model.
     solver:
         Structured solver for the per-point path (None = sequential).
-        The theta-batched sweep runs only on the sequential batched-kernel
-        path; a distributed solver (or ``batched=False`` pin) keeps the
-        per-point evaluation.
+        The theta-batched sweep runs only on the sequential path; a
+        distributed solver keeps the per-point evaluation.
     s1_workers:
         Requested thread-pool width of the per-point fallback path.  The
         effective width :attr:`s1_width` is clamped to the CPU budget:
@@ -129,10 +127,9 @@ class FobjEvaluator:
         combination gives the same bits.
     batch_stencils:
         Force (True) or disable (False) the theta-batched stencil sweep;
-        None (default) enables it whenever the solver is sequential, the
-        batched kernel path is active (``REPRO_BATCHED``), and the block
-        size sits in the dispatch-bound regime where batching pays on
-        the host (``b <= 32``, override via
+        None (default) enables it whenever the solver is sequential and
+        the block size sits in the dispatch-bound regime where batching
+        pays on the host (``b <= 32``, override via
         ``REPRO_BATCH_STENCIL_MAX_B`` — see
         ``benchmarks/results/multitheta.txt`` for the measured
         crossover).
@@ -212,29 +209,23 @@ class FobjEvaluator:
         ``_eval_one``; batching around them would silently bypass their
         objective, so any override disables the sweep.  Distributed
         solvers keep the per-point path (S1 stencil points have distinct
-        matrices per rank slice), as does an explicit ``batched=False``
-        kernel pin.
+        matrices per rank slice).
         """
         if type(self)._eval_one is not FobjEvaluator._eval_one:
             return False
         if self.solver is None:
             return True
-        return isinstance(self.solver, SequentialSolver) and self.solver.batched is not False
+        return isinstance(self.solver, SequentialSolver)
 
     def _use_batch(self, count: int) -> bool:
         if count < 2 or not self._batch_capable():
             return False
         if self.batch_stencils is not None:
             return self.batch_stencils
-        backend = get_backend()
-        # REPRO_BATCHED=0 selects the per-point path only on a backend
-        # that can run the per-block kernels (see batched_enabled).
-        if not batched_enabled(None, backend):
-            return False
         # A backend with genuinely batched POTRF (mock device, CuPy) has
         # no dispatch-bound crossover: one fat launch beats t thin ones at
         # any block size, so the host-measured ceiling does not apply.
-        if backend.has_batched_potrf:
+        if get_backend().has_batched_potrf:
             return True
         # Auto mode stays per-point above the measured host crossover
         # (dispatch amortization pays for b <= _BATCH_STENCIL_MAX_B).

@@ -127,8 +127,8 @@ def latent_marginals(
     """Compute latent means and selected-inversion variances at the mode.
 
     Means and variances come out of *one* factorization of ``Qc``: the
-    handle from ``solver.factorize`` shares the Cholesky factor (and, on
-    the batched path, the backward recursion) between the
+    handle from ``solver.factorize`` shares the Cholesky factor (and the
+    backward recursion) between the
     conditional-mean solve and the Takahashi variance sweep —
     historically this cost two full factorizations plus a pristine copy
     of ``Qc``.  An existing ``factor`` (a handle for ``Qc(theta_mode)``,

@@ -21,7 +21,7 @@ Gaussian stencil path:
   rows, so the ``2d + 1`` stencil thetas' Newton loops run in *lockstep*
   — one ``factorize_batch`` sweep per iteration across all active
   thetas, a convergence mask freezing finished lanes — with each lane
-  bit-identical to its own serial run under ``REPRO_BATCHED=1``.
+  bit-identical to its own serial run.
 
 The likelihood protocol is vectorized over ``(t, m)`` eta stacks
 (``logpdf_stack`` / ``gradient_stack`` / ``neg_hessian_diag_stack``);
@@ -39,13 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, gammaln
 
-from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import NUMPY_BACKEND, get_backend
+from repro.errors import NotPositiveDefiniteError
 from repro.inla.objective import FobjResult
 from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel
 from repro.structured.bta import BTAStack
 from repro.structured.factor import factorize
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.multifactor import factorize_batch
 
 
@@ -280,9 +279,9 @@ def _serial_newton(
     """One lane's Newton loop on the plan path (permuted coordinates).
 
     Returns ``(x_perm, logdet_qc, n_newton, converged, factor)``.  Uses
-    the env-following :func:`factorize` per iteration, so under
-    ``REPRO_BATCHED=1`` each step is bit-identical to the same lane
-    inside a lockstep batch (the ``factorize_batch`` t=1 contract).
+    :func:`factorize` per iteration, so each step is bit-identical to the
+    same lane inside a lockstep batch (the ``factorize_batch`` t=1
+    contract).
     """
     kern = _NewtonKernel(model, lik)
     n = model.N
@@ -597,11 +596,9 @@ def evaluate_fobj_nongaussian_batch(
 ) -> list:
     """Theta-batched ``fobj`` for a general likelihood.
 
-    Under ``REPRO_BATCHED=0`` on host-LAPACK backends every lane runs
-    the serial wrapper (bitwise the legacy path); otherwise: one prior
-    ``factorize_batch`` for the ``log|Qp|`` stack, the lockstep Newton
-    loops, and one vectorized epilogue over the finished lanes.  Returns
-    one :class:`FobjResult` per requested theta (``-inf`` for
+    One prior ``factorize_batch`` for the ``log|Qp|`` stack, the lockstep
+    Newton loops, and one vectorized epilogue over the finished lanes.
+    Returns one :class:`FobjResult` per requested theta (``-inf`` for
     infeasible / invalid / non-SPD lanes).  ``warm_starts`` is a
     theta-keyed mutable mapping of permuted modes, updated in place.
     """
@@ -609,18 +606,6 @@ def evaluate_fobj_nongaussian_batch(
     if thetas.ndim == 1:
         thetas = thetas[None, :]
     be = workspace.backend if workspace is not None else get_backend()
-    if not batched_enabled(None, be):
-        out = []
-        for th in thetas:
-            key = _theta_key(th)
-            x0 = warm_starts.get(key) if warm_starts is not None else None
-            r = evaluate_fobj_nongaussian(
-                model, th, lik, max_newton=max_newton, x0_perm=x0
-            )
-            if warm_starts is not None and r.mu_perm is not None:
-                warm_starts[key] = np.array(r.mu_perm)
-            out.append(r)
-        return out
     if workspace is None:
         workspace = AssemblyWorkspace(backend=be)
     results = [FobjResult(theta=th, value=-np.inf) for th in thetas]

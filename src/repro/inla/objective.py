@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend.protocol import backend_for
+from repro.errors import NotPositiveDefiniteError
 from repro.inla.solvers import SequentialSolver, StructuredSolver
 from repro.model.assembler import (
     AssembledSystem,
     BatchAssembledSystem,
     CoregionalSTModel,
 )
-from repro.structured.kernels import NotPositiveDefiniteError
 
 
 @dataclass

@@ -13,9 +13,9 @@ This module exploits that: scenarios are grouped by
 in lockstep — per-lane curvature/gather phases (cheap, heterogeneous)
 feeding ONE ``factorize_batch`` + ``solve_each`` sweep per iteration
 (expensive, homogeneous) — with the same convergence-mask / serial-NPD
--fallback discipline as the single-model engine.  Groups of one, and all
-groups under ``REPRO_BATCHED=0``, take the serial per-cell path, which
-is also the reference the grid results are tested against.
+-fallback discipline as the single-model engine.  Groups of one take the
+serial per-cell path, which is also the reference the grid results are
+tested against.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import get_backend
+from repro.errors import NotPositiveDefiniteError
 from repro.inla.nongaussian import (
     _line_search,
     _NewtonKernel,
@@ -36,7 +36,6 @@ from repro.inla.objective import FobjResult
 from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel
 from repro.structured.bta import BTAStack
 from repro.structured.factor import factorize
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.multifactor import factorize_batch
 
 
@@ -107,7 +106,7 @@ def _epilogue(model, lik, theta, qp_values, x_perm, logdet_p, logdet_qc, factor)
 
 
 def _run_serial(sc: Scenario, max_newton: int, tol: float) -> ScenarioResult:
-    """Reference per-cell path (also the ``REPRO_BATCHED=0`` route)."""
+    """Reference per-cell path (also the route of singleton groups)."""
     model, lik = sc.model, sc.likelihood
     theta = np.asarray(sc.theta, dtype=np.float64)
     try:
@@ -316,10 +315,9 @@ def evaluate_scenario_grid(
 
     Returns one :class:`ScenarioResult` per input scenario, in order.
     Cells whose models share ``permutation.bta_shape`` ride the same
-    lockstep batched sweeps; singleton groups — and everything under
-    ``REPRO_BATCHED=0`` — run the serial per-cell reference path, which
-    each grouped cell matches to rounding (bit-identical per the
-    ``factorize_batch`` per-lane contract).
+    lockstep batched sweeps; singleton groups run the serial per-cell
+    reference path, which each grouped cell matches to rounding
+    (bit-identical per the ``factorize_batch`` per-lane contract).
     """
     be = backend if backend is not None else get_backend()
     out: list = [None] * len(scenarios)
@@ -327,7 +325,7 @@ def evaluate_scenario_grid(
     for i, sc in enumerate(scenarios):
         groups.setdefault(sc.model.permutation.bta_shape, []).append(i)
     for shape, idxs in groups.items():
-        if len(idxs) >= 2 and batched_enabled(None, be):
+        if len(idxs) >= 2:
             _run_group(scenarios, idxs, shape, out, be, max_newton, tol)
         else:
             for i in idxs:

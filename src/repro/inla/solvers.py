@@ -157,17 +157,10 @@ class StructuredSolver(abc.ABC):
 
 
 class SequentialSolver(StructuredSolver):
-    """Single-device BTA kernels (the INLA_DIST-style solver).
-
-    ``batched=None`` (default) follows the ``REPRO_BATCHED`` environment
-    switch; True/False pin the stacked or per-block kernel path.
-    """
-
-    def __init__(self, *, batched: bool | None = None):
-        self.batched = batched
+    """Single-device BTA kernels (the INLA_DIST-style solver)."""
 
     def factorize(self, A: BTAMatrix, *, overwrite: bool = False) -> BTAFactor:
-        return factorize(A, overwrite=overwrite, batched=self.batched)
+        return factorize(A, overwrite=overwrite)
 
 
 class DistributedSolver(StructuredSolver):
@@ -180,12 +173,11 @@ class DistributedSolver(StructuredSolver):
     factor ``lb`` gives partition 0 extra blocks (paper Fig. 5 uses 1.6).
     """
 
-    def __init__(self, P: int, *, lb: float = 1.6, batched: bool | None = None):
+    def __init__(self, P: int, *, lb: float = 1.6):
         if P < 1:
             raise ValueError(f"P must be >= 1, got {P}")
         self.P = P
         self.lb = lb
-        self.batched = batched
 
     def _nparts(self, A: BTAMatrix) -> int:
         # Cannot split n blocks into more than floor(n / 2) + 1 partitions
@@ -203,13 +195,13 @@ class DistributedSolver(StructuredSolver):
         """
         P = self._nparts(A)
         if P == 1:
-            return factorize(A, overwrite=overwrite, batched=self.batched)
-        return d_factorize(A, P, lb=self.lb, batched=self.batched)
+            return factorize(A, overwrite=overwrite)
+        return d_factorize(A, P, lb=self.lb)
 
 
 #: Storage multiplier per INLA workload type (see
 #: :func:`repro.backend.memory.min_partitions`).  Factorize-only sweeps run
-#: in place, but the default batched path additionally caches the stacked
+#: in place, but the factorization additionally caches the stacked
 #: triangular inverses ``L[i,i]^{-1}`` (``n b^2`` doubles, ~0.5x of the
 #: BTA bytes) that the sweeps GEMM against — hence the extra 0.5 on every
 #: workload.  The objective's logdet+solve adds only O(N k) RHS storage on
@@ -233,7 +225,6 @@ def select_solver(
     lb: float = 1.6,
     factors: int | None = None,
     workload: str | None = None,
-    batched: bool | None = None,
 ) -> StructuredSolver:
     """Paper Sec. V-D dispatch: sequential while the block-dense matrix
     fits on one device, otherwise the smallest feasible S3 partitioning.
@@ -263,6 +254,6 @@ def select_solver(
     device = device or default_device()
     n, b, a = A_shape.n, A_shape.b, A_shape.a
     if device.fits(bta_memory_bytes(n, b, a, factors=factors)):
-        return SequentialSolver(batched=batched)
+        return SequentialSolver()
     P = min(min_partitions(n, b, a, device, factors=factors), max_ranks)
-    return DistributedSolver(P, lb=lb, batched=batched)
+    return DistributedSolver(P, lb=lb)

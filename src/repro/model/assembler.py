@@ -833,41 +833,6 @@ class CoregionalSTModel:
         qc_csr = sp.csr_matrix((qc[0], pat_c.indices, pat_c.indptr), shape=pat_c.shape)
         return qp_csr, qc_csr, rhs_var[0], taus
 
-    def assemble_reference(self, theta: np.ndarray) -> AssembledSystem:
-        """The historical scipy-sparse assembly path (reference only).
-
-        Re-derives the joint prior through ``sp.kron`` products, the
-        sparse LMC block-mix, CSR adds, two alignment passes, the CSR
-        permutation and a fresh :meth:`BTAMapping.map <repro.sparse.mapping.BTAMapping.map>`
-        scatter — the per-theta cost profile the symbolic plan removes.
-        Kept as the independent cross-check for the plan's values (and
-        as the baseline of ``benchmarks/bench_assembly.py``); agrees with
-        :meth:`assemble` to rounding (1e-10), not bit-for-bit.
-        """
-        theta = self.layout.validate(theta)
-        taus = self.layout.taus(theta)
-
-        qp = self._align_p.align(self._joint_prior(theta))
-        qc_var = qp + sum(tau * g for tau, g in zip(taus, self._grams))
-        qc = self._align_c.align(qc_var)
-
-        qp_perm = self._perm_p.apply(qp)
-        qc_perm = self._perm_c.apply(qc)
-        qp_bta = self._map_p.map(qp_perm)
-        qc_bta = self._map_c.map(qc_perm)
-
-        rhs = self.permutation.permute_vector(
-            self.likelihood.information_vector(self.A, taus)
-        )
-        return AssembledSystem(
-            theta=theta,
-            qp=qp_bta,
-            qc=qc_bta,
-            qp_csr=qp_perm,
-            rhs=rhs,
-            taus=taus,
-        )
-
     # -- posterior helpers ---------------------------------------------------
 
     def linear_predictor(self, mu_perm: np.ndarray) -> np.ndarray:

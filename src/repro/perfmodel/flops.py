@@ -10,12 +10,10 @@ BTA adds ``O(a^3)`` and the imbalance ratio ``r_Q = a^3 / b^3``).
 
 Path convention.  The batched kernel layer
 (:mod:`repro.structured.batched`) executes the *same mathematical
-operations* as the per-block reference path — it fuses TRSM operands and
-Schur-update GEMMs and amortizes per-call dispatch, neither of which
-changes the algorithmic operation count.  The ``batched`` keyword on the
-solver-level counters therefore exists to make that contract explicit
-(and testable): both paths must report identical flops, so a calibration
-run is comparable regardless of which path produced it.
+operations* as a textbook per-block elimination — it fuses TRSM operands
+and Schur-update GEMMs and amortizes per-call dispatch, neither of which
+changes the algorithmic operation count — so the counts below are those
+of the per-block algorithm.
 """
 
 from __future__ import annotations
@@ -33,14 +31,13 @@ def gemm_flops(p: int, q: int, r: int) -> float:
     return 2.0 * p * q * r
 
 
-def bta_factorization_flops(n: int, b: int, a: int, *, batched: bool = False) -> float:
+def bta_factorization_flops(n: int, b: int, a: int) -> float:
     """``pobtaf``: per block one POTRF, two TRSMs, three GEMMs.
 
-    Identical for the per-block and batched paths (see module docstring);
-    the batched path issues the two TRSMs as one fused call and the three
-    GEMMs as one ``G G^T``, which does not change the count.
+    The batched kernels issue the TRSMs as GEMMs against the explicit
+    triangular inverse and fuse the Schur updates, which does not change
+    the count (see module docstring).
     """
-    del batched  # same count on both paths, by contract
     per_block = (
         potrf_flops(b)
         + trsm_flops(b, b)  # L[i+1, i]
@@ -52,15 +49,13 @@ def bta_factorization_flops(n: int, b: int, a: int, *, batched: bool = False) ->
     return n * per_block + potrf_flops(a)
 
 
-def bta_solve_flops(
-    n: int, b: int, a: int, k: int = 1, *, batched: bool = False, stacked: bool = False
-) -> float:
+def bta_solve_flops(n: int, b: int, a: int, k: int = 1, *, stacked: bool = False) -> float:
     """``pobtas``: two triangular sweeps, ``O(n b^2 k)``.
 
-    Identical for both paths: the batched path realizes each per-block
-    diagonal solve as a GEMM against a precomputed triangular inverse,
-    which is the same modeled TRSM work (the inversion itself is counted
-    with the factorization's TRSM budget it replaces).
+    The sweeps realize each per-block diagonal solve as a GEMM against a
+    precomputed triangular inverse, which is the same modeled TRSM work
+    (the inversion itself is counted with the factorization's TRSM budget
+    it replaces).
 
     ``k`` is the number of right-hand sides.  The count is *linear in k
     by contract* whether the k solves run as one stacked ``(b, k)``-panel
@@ -68,9 +63,9 @@ def bta_solve_flops(
     amortizes loop-carried passes and kernel dispatch, not arithmetic —
     so a calibration run is comparable regardless of which multi-RHS
     strategy produced it (``stacked`` exists to make that contract
-    explicit and testable, like ``batched``).
+    explicit and testable).
     """
-    del batched, stacked
+    del stacked
     per_block = 2.0 * (
         trsm_flops(b, k)  # diagonal solves (fwd + bwd counted via factor 2)
         + gemm_flops(b, b, k)  # neighbor update
@@ -79,35 +74,33 @@ def bta_solve_flops(
     return n * per_block + 2.0 * trsm_flops(a, k)
 
 
-def bta_solve_lt_flops(
-    n: int, b: int, a: int, k: int = 1, *, batched: bool = False, stacked: bool = False
-) -> float:
+def bta_solve_lt_flops(n: int, b: int, a: int, k: int = 1, *, stacked: bool = False) -> float:
     """``pobtas_lt`` / ``pobtas_lt_stack``: the backward-only sampling sweep.
 
     Exactly half a full solve — one triangular sweep with the same
     per-block kernel mix — linear in ``k`` under the same stacked/looped
     contract as :func:`bta_solve_flops`.
     """
-    del batched, stacked
+    del stacked
     per_block = trsm_flops(b, k) + gemm_flops(b, b, k) + gemm_flops(a, b, k)
     return n * per_block + trsm_flops(a, k)
 
 
 def bta_batch_factorization_flops(
-    n_theta: int, n: int, b: int, a: int, *, batched: bool = False, stacked: bool = False
+    n_theta: int, n: int, b: int, a: int, *, stacked: bool = False
 ) -> float:
     """One theta-batched ``factorize_batch`` sweep over ``n_theta`` matrices.
 
     *Linear in ``n_theta`` by contract*: stacking the stencil matrices
     along a leading theta axis amortizes the ``n`` loop-carried chain
     steps and the per-step kernel dispatch across the batch — the
-    arithmetic per matrix is exactly one ``pobtaf``.  ``stacked`` /
-    ``batched`` exist (like everywhere in this module) to make the
-    identity testable: one batched sweep and ``n_theta`` looped
-    factorizations must report the same flops, so calibration runs are
-    comparable regardless of which multi-theta strategy produced them.
+    arithmetic per matrix is exactly one ``pobtaf``.  ``stacked`` exists
+    (like everywhere in this module) to make the identity testable: one
+    batched sweep and ``n_theta`` looped factorizations must report the
+    same flops, so calibration runs are comparable regardless of which
+    multi-theta strategy produced them.
     """
-    del batched, stacked
+    del stacked
     return n_theta * bta_factorization_flops(n, b, a)
 
 
@@ -118,7 +111,6 @@ def bta_batch_solve_flops(
     a: int,
     k: int = 1,
     *,
-    batched: bool = False,
     stacked: bool = False,
 ) -> float:
     """Theta-batched ``solve_each``: one RHS (or ``k``) per stacked matrix.
@@ -127,13 +119,12 @@ def bta_batch_solve_flops(
     as :func:`bta_batch_factorization_flops` — the theta-batched panel
     sweep performs exactly ``n_theta`` per-theta solves' arithmetic.
     """
-    del batched, stacked
+    del stacked
     return n_theta * bta_solve_flops(n, b, a, k)
 
 
-def bta_selected_inversion_flops(n: int, b: int, a: int, *, batched: bool = False) -> float:
-    """``pobtasi``: same order as the factorization; identical on both paths."""
-    del batched
+def bta_selected_inversion_flops(n: int, b: int, a: int) -> float:
+    """``pobtasi``: same order as the factorization."""
     per_block = (
         2.0 * trsm_flops(b, b)  # two right-solves per off-diagonal block
         + 4.0 * gemm_flops(b, b, b)
@@ -250,7 +241,6 @@ def bta_assembly_flops(
     N: int,
     n_theta: int = 1,
     *,
-    batched: bool = False,
     stacked: bool = False,
 ) -> float:
     """Numeric-phase flops of the symbolic assembly plan per theta batch.
@@ -267,7 +257,7 @@ def bta_assembly_flops(
     report identical flops (the same identity the solver-level counters
     enforce), so calibration runs are comparable across strategies.
     """
-    del batched, stacked
+    del stacked
     spatial = gemm_flops(3, 4, nnz_s) * nv
     temporal = gemm_flops(ntt, 3, nnz_s) * nv
     mix = 2.0 * nv * nv * nv * nnz_u

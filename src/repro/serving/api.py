@@ -33,10 +33,7 @@ widths:
 - requests at least one lane wide run **solo at exact width** — they are
   never merged with other requests, so a coalesced execution and a
   direct call run the identical sweep (this also keeps wide direct
-  calls, e.g. ``sample(6000)``, on today's single-sweep fast path);
-- on the reference kernel path (``REPRO_BATCHED=0``) the stacked solvers
-  loop per right-hand side, which is row-stable by construction — no
-  padding is needed.
+  calls, e.g. ``sample(6000)``, on today's single-sweep fast path).
 
 Everything outside the factor sweeps (RHS construction, scatters,
 per-request epilogues) operates only on a request's own arrays, so it is
@@ -51,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import NUMPY_BACKEND
 
 __all__ = [
@@ -221,15 +217,6 @@ def _sweep_grouped(factor, stacks: list, sweep, lanes_fn=None) -> list:
         return []
     ks = [s.shape[0] for s in stacks]
     backend = getattr(factor, "backend", NUMPY_BACKEND)
-    if not batched_enabled(factor.batched, backend):
-        # Reference path: the stacked solvers loop per RHS (row-stable),
-        # so one exact-width call serves the whole group.
-        solved = sweep(np.concatenate(stacks, axis=0) if len(stacks) > 1 else stacks[0])
-        out, off = [], 0
-        for k in ks:
-            out.append(solved[off : off + k])
-            off += k
-        return out
     lanes = sweep_lanes()
     out = [None] * len(stacks)
     narrow = [i for i, k in enumerate(ks) if k < lanes]

@@ -16,11 +16,9 @@ tridiagonal arrowhead) + ``f``/``s``/``si``.  The distributed variants use
 the nested-dissection time-domain partitioning of paper Sec. IV-C/D3 with
 the boundary-weighted load balancing studied in Fig. 5.
 
-Every solver has two execution paths selected by ``REPRO_BATCHED`` (or a
-per-call ``batched=`` argument): the per-block reference kernels of
-:mod:`repro.structured.kernels`, and the stacked/fused kernels of
-:mod:`repro.structured.batched` (default) — see ``README.md`` in this
-package for the layering and the measured crossover.
+Every solver runs on the stacked/fused block kernels of
+:mod:`repro.structured.batched` — see ``README.md`` in this package for
+the layering and the measured comparison against a per-block reference.
 
 Sampling / smart-gradient workloads that drive many right-hand sides
 through one factor use the stacked multi-RHS interface of
@@ -36,7 +34,6 @@ the returned :class:`BTAFactor` / :class:`DistributedBTAFactor` serves
 ``logdet`` / solves / selected inversion / sampling from it.
 """
 
-from repro.structured.batched import batched_enabled
 from repro.structured.bta import BTAMatrix, BTAShape, BTAStack
 from repro.structured.partition import Partition, balanced_partitions, partition_counts
 from repro.structured.pobtaf import FACTORIZATIONS, pobtaf
@@ -68,7 +65,6 @@ __all__ = [
     "BTAFactorBatch",
     "DistributedBTAFactor",
     "FACTORIZATIONS",
-    "batched_enabled",
     "factorize",
     "factorize_batch",
     "d_factorize",

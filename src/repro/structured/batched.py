@@ -18,8 +18,7 @@ Two implementation strategies per triangular primitive:
 - **host fast path** (NumPy inputs): direct LAPACK calls
   (``dtrtrs``/``dtrtri``/``dpotrf``) looped over the stack in the cheapest
   possible way — these wrappers cost ~3x less per call than the
-  ``scipy.linalg.solve_triangular`` convenience layer used by the
-  per-block reference kernels in :mod:`repro.structured.kernels`;
+  ``scipy.linalg.solve_triangular`` convenience layer;
 - **vectorized substitution fallback** (any other array module, or large
   stacks where the ``O(b)`` Python steps amortize): forward/backward
   substitution over the ``b`` rows, vectorized across the whole stack
@@ -29,10 +28,6 @@ Two implementation strategies per triangular primitive:
 Single-block ``*_block`` helpers are exported for the loop-carried Schur
 recurrences, which cannot batch across the chain but do fuse their
 operands (e.g. one TRSM for ``[lower; arrow]`` instead of two).
-
-The per-block kernels in :mod:`repro.structured.kernels` remain the
-reference implementation; ``REPRO_BATCHED=0`` routes every solver back to
-them (see :func:`repro.backend.array_module.batched_enabled`).
 """
 
 from __future__ import annotations
@@ -42,19 +37,16 @@ import os
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _dpotrf, dtrtri as _dtrtri, dtrtrs as _dtrtrs
 
-from repro.backend.array_module import batched_enabled, get_array_module
+from repro.backend.array_module import get_array_module
 from repro.backend.protocol import Backend, backend_for
-from repro.structured.kernels import NotPositiveDefiniteError
+from repro.errors import NotPositiveDefiniteError
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "batched_enabled",
     "batched_chol_lower",
     "batched_chol_and_inverse",
     "batched_solve_lower",
     "batched_solve_lower_t",
-    "batched_right_solve_lower",
-    "batched_right_solve_lower_t",
     "batched_tri_inverse_lower",
     "batched_logdet_from_chol_diag",
     "batched_logdets_from_chol_diag",
@@ -63,8 +55,6 @@ __all__ = [
     "chol_lower_block",
     "solve_lower_block",
     "solve_lower_t_block",
-    "right_solve_lower_block",
-    "right_solve_lower_t_block",
     "tri_inverse_lower_block",
 ]
 
@@ -358,19 +348,6 @@ def batched_solve_lower_t(l, rhs, *, backend: Backend | None = None):
     return _subst_solve_lower_t(l, rhs)
 
 
-def batched_right_solve_lower(l, rhs, *, backend: Backend | None = None):
-    """``B_i L_i^{-1}`` for stacks ``rhs: (m, p, b)`` (right division)."""
-    # (B L^{-1})^T = L^{-T} B^T, batched via the transposed stacks.
-    out = batched_solve_lower_t(l, rhs.transpose(0, 2, 1), backend=backend)
-    return out.transpose(0, 2, 1)
-
-
-def batched_right_solve_lower_t(l, rhs, *, backend: Backend | None = None):
-    """``B_i L_i^{-T}`` for stacks ``rhs: (m, p, b)``."""
-    out = batched_solve_lower(l, rhs.transpose(0, 2, 1), backend=backend)
-    return out.transpose(0, 2, 1)
-
-
 def _tri_inverse_host(l):
     """``L^{-1}`` of one clean lower-triangular host block.
 
@@ -445,16 +422,6 @@ def solve_lower_t_block(l, rhs, *, backend: Backend | None = None):
             return rhs.copy()
         return _trtrs_block(l, rhs, trans=1)
     return batched_solve_lower_t(l[None], rhs[None], backend=be)[0]
-
-
-def right_solve_lower_block(l, rhs, *, backend: Backend | None = None):
-    """``B L^{-1}`` for one block."""
-    return solve_lower_t_block(l, rhs.T, backend=backend).T
-
-
-def right_solve_lower_t_block(l, rhs, *, backend: Backend | None = None):
-    """``B L^{-T}`` for one block."""
-    return solve_lower_block(l, rhs.T, backend=backend).T
 
 
 def tri_inverse_lower_block(l, *, backend: Backend | None = None):

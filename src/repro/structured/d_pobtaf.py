@@ -15,15 +15,14 @@ The remaining boundary blocks form a reduced BTA system of ``2P - 1``
 blocks (see :mod:`repro.structured.reduced_system`), allgathered with the
 same all-to-all pattern NCCL executes in the paper and factorized ONCE
 per epoch via :func:`~repro.structured.reduced_system.factorize_reduced`
-(rank 0 sweeps, the factor is broadcast; ``REPRO_REDUCED=redundant``
-restores the legacy every-rank-factorizes scheme for A/B comparison).
+(rank 0 sweeps, the factor is broadcast).
 
-On the batched path (``REPRO_BATCHED=1``, the default) each interior
-elimination step fuses its two (or, with the fill column, three) TRSMs
-into one call on the stacked operand and its Schur updates into a single
-``G G^T`` GEMM whose tiles land on ``{diag, fill, arrow, tip}`` — the
-same fusion the sequential ``pobtaf`` uses, applied to the permuted
-sparsity pattern ``{j+1, s, tip}``.
+Each interior elimination step fuses the operands that feed back into the
+chain (the next coupling and, for ``p >= 1``, the fill column) into one
+GEMM against the explicit ``L^{-T}`` and one ``G G^T`` Schur GEMM whose
+tiles land on ``{diag, fill}`` — the same fusion the sequential
+``pobtaf`` uses, applied to the permuted sparsity pattern
+``{j+1, s, tip}``.  The arrow row is deferred into a GEMM substitution.
 """
 
 from __future__ import annotations
@@ -32,15 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.comm.communicator import Communicator
 from repro.structured import batched as bk
 from repro.structured.bta import BTAMatrix
-from repro.structured.kernels import (
-    chol_lower,
-    logdet_from_chol_diag,
-    right_solve_lower_t,
-)
 from repro.structured.partition import Partition, balanced_partitions
 from repro.structured.pobtaf import BTACholesky
 from repro.structured.reduced_system import (
@@ -146,57 +139,18 @@ class DistributedFactors:
             self._ldiag_inv = bk.batched_tri_inverse_lower(self.ldiag)
         return self._ldiag_inv
 
-    def logdet(self, comm: Communicator, *, batched: bool | None = None) -> float:
+    def logdet(self, comm: Communicator) -> float:
         """Global ``log det A``: interior contributions summed across ranks
         plus the reduced-system determinant (identical on every rank)."""
-        if bk.batched_enabled(batched):
-            local = bk.batched_logdet_from_chol_diag(self.ldiag)
-        else:
-            local = 0.0
-            for k in range(self.n_interior):
-                local += logdet_from_chol_diag(self.ldiag[k])
+        local = bk.batched_logdet_from_chol_diag(self.ldiag)
         total = comm.allreduce_scalar(local)
-        return total + self.reduced_chol.logdet(batched=batched)
+        return total + self.reduced_chol.logdet()
 
 
 def _eliminate_first_partition(sl: LocalBTASlice):
-    """Top-down interior elimination of partition 0 (no fill column)."""
-    nl, b, a = sl.part.n_blocks, sl.b, sl.a
-    m = nl - 1  # interiors
-    ldiag = np.empty((m, b, b))
-    lnext = np.empty((m, b, b))
-    larrow = np.empty((m, a, b))
-    diag = sl.diag.copy()
-    lower = sl.lower.copy()
-    arrow = sl.arrow.copy()
-    tip_delta = np.zeros((a, a))
-    for k in range(m):
-        ldiag[k] = chol_lower(diag[k])
-        lnext[k] = right_solve_lower_t(ldiag[k], lower[k])
-        diag[k + 1] -= lnext[k] @ lnext[k].T
-        if a:
-            larrow[k] = right_solve_lower_t(ldiag[k], arrow[k])
-            arrow[k + 1] -= larrow[k] @ lnext[k].T
-            tip_delta -= larrow[k] @ larrow[k].T
-        else:
-            larrow[k] = np.zeros((a, b))
-    contrib = BoundaryContribution(
-        part=sl.part,
-        diag_top=None,
-        diag_bottom=diag[-1],
-        coupling=None,
-        lower_prev=None,
-        arrow_top=None,
-        arrow_bottom=arrow[-1],
-        tip_delta=tip_delta,
-    )
-    return ldiag, lnext, None, larrow, contrib, None
+    """Top-down interior elimination of partition 0 (no fill column).
 
-
-def _eliminate_first_partition_batched(sl: LocalBTASlice):
-    """Partition-0 elimination via the batched kernel layer.
-
-    Like the sequential batched ``pobtaf``: the BT chain runs one POTRF +
+    Like the sequential ``pobtaf``: the BT chain runs one POTRF +
     TRTRI per step with the TRSMs realized as GEMMs against the explicit
     triangular inverse (returned stacked, for reuse by ``d_pobtas`` /
     ``d_pobtasi``); the arrow row is deferred into a GEMM substitution
@@ -246,71 +200,15 @@ def _eliminate_middle_partition(sl: LocalBTASlice):
     """Interior elimination maintaining the fill column to the top boundary.
 
     Eliminating interior block ``j`` (neighbors ``{j+1, s, tip}`` in the
-    permuted matrix) performs three TRSMs and six GEMM updates — twice the
-    work of partition 0 per block, which is the source of the paper's load
-    imbalance discussion.
-    """
-    nl, b, a = sl.part.n_blocks, sl.b, sl.a
-    m = max(nl - 2, 0)  # interiors between the two boundaries
-    ldiag = np.empty((m, b, b))
-    lnext = np.empty((m, b, b))
-    lfill = np.empty((m, b, b))
-    larrow = np.empty((m, a, b))
-    diag = sl.diag.copy()
-    lower = sl.lower.copy()
-    arrow = sl.arrow.copy()
-    tip_delta = np.zeros((a, a))
-
-    # Local indices: boundary top = 0, interiors = 1..nl-2, bottom = nl-1.
-    # fill = A[s, j] for the current column j (starts at A[s, s+1] = lower[0]^T).
-    fill = lower[0].T.copy() if m > 0 else None
-    for k in range(m):
-        j = k + 1  # local index of the interior block being eliminated
-        ldiag[k] = chol_lower(diag[j])
-        lnext[k] = right_solve_lower_t(ldiag[k], lower[j])
-        lfill[k] = right_solve_lower_t(ldiag[k], fill)
-        # Schur updates onto the remaining neighbors {j+1, s, tip}.
-        diag[j + 1] -= lnext[k] @ lnext[k].T
-        diag[0] -= lfill[k] @ lfill[k].T
-        new_fill = -lfill[k] @ lnext[k].T  # A[s, j+1] fill (original entry is 0)
-        if a:
-            larrow[k] = right_solve_lower_t(ldiag[k], arrow[j])
-            arrow[j + 1] -= larrow[k] @ lnext[k].T
-            arrow[0] -= larrow[k] @ lfill[k].T
-            tip_delta -= larrow[k] @ larrow[k].T
-        else:
-            larrow[k] = np.zeros((a, b))
-        fill = new_fill
-    if m == 0:
-        # No interior: boundaries are directly coupled by the original block.
-        coupling = lower[0].copy() if nl == 2 else None
-    else:
-        # After eliminating the last interior, `fill` is A[s, e]; the
-        # reduced system stores the lower block A[e, s] = fill^T.
-        coupling = fill.T.copy()
-    contrib = BoundaryContribution(
-        part=sl.part,
-        diag_top=diag[0] if nl > 1 else None,
-        diag_bottom=diag[-1],
-        coupling=coupling,
-        lower_prev=sl.lower_prev,
-        arrow_top=arrow[0] if nl > 1 else None,
-        arrow_bottom=arrow[-1],
-        tip_delta=tip_delta,
-    )
-    return ldiag, lnext, lfill, larrow, contrib, None
-
-
-def _eliminate_middle_partition_batched(sl: LocalBTASlice):
-    """Middle-partition elimination via the batched kernel layer.
-
-    The loop-carried chain fuses the two ``b x b`` operands that feed back
-    into it — the next coupling and the fill column — into one GEMM
-    against ``L^{-T}`` and one Schur GEMM whose tiles update
-    ``{diag[j+1], diag[s], fill}``.  The arrow row is deferred like in the
-    sequential solver; its accumulations onto the two boundary targets
-    (top-boundary arrow and tip delta) batch over the whole interior
-    stack as single contractions.
+    permuted matrix) is twice the work of a partition-0 step — the source
+    of the paper's load-imbalance discussion.  The loop-carried chain
+    fuses the two ``b x b`` operands that feed back into it — the next
+    coupling and the fill column — into one GEMM against ``L^{-T}`` and
+    one Schur GEMM whose tiles update ``{diag[j+1], diag[s], fill}``.
+    The arrow row is deferred like in the sequential solver; its
+    accumulations onto the two boundary targets (top-boundary arrow and
+    tip delta) batch over the whole interior stack as single
+    contractions.
     """
     nl, b, a = sl.part.n_blocks, sl.b, sl.a
     m = max(nl - 2, 0)
@@ -366,9 +264,7 @@ def _eliminate_middle_partition_batched(sl: LocalBTASlice):
     return ldiag, lnext, lfill, larrow, contrib, linv
 
 
-def d_pobtaf(
-    sl: LocalBTASlice, comm: Communicator, *, batched: bool | None = None
-) -> DistributedFactors:
+def d_pobtaf(sl: LocalBTASlice, comm: Communicator) -> DistributedFactors:
     """Distributed BTA Cholesky factorization (collective over ``comm``).
 
     Every rank passes its :class:`LocalBTASlice`; partition indices must
@@ -381,15 +277,7 @@ def d_pobtaf(
         raise ValueError(
             f"partition index {sl.part.index} != communicator rank {comm.Get_rank()}"
         )
-    use_batched = batched_enabled(batched)
-    if sl.part.is_first:
-        eliminate = (
-            _eliminate_first_partition_batched if use_batched else _eliminate_first_partition
-        )
-    else:
-        eliminate = (
-            _eliminate_middle_partition_batched if use_batched else _eliminate_middle_partition
-        )
+    eliminate = _eliminate_first_partition if sl.part.is_first else _eliminate_middle_partition
     ldiag, lnext, lfill, larrow, contrib, linv = eliminate(sl)
 
     contributions = comm.allgather(contrib)
@@ -397,7 +285,7 @@ def d_pobtaf(
     reduced = ReducedSystem.assemble(contributions, tip_original=sl.tip)
     # One factorization per epoch (rank 0 sweeps, everyone gets the factor)
     # instead of the historical P redundant per-rank sweeps.
-    reduced_chol = factorize_reduced(reduced, comm, batched=use_batched)
+    reduced_chol = factorize_reduced(reduced, comm)
     return DistributedFactors(
         part=sl.part,
         ldiag=ldiag,

@@ -17,43 +17,24 @@ The routine is roughly an order of magnitude cheaper than factorization
 observes it reacts *worse* to load balancing tuned for the ``b^3`` kernels
 (Fig. 5 discussion).
 
-On the batched path the interior sweeps run as GEMMs against the cached
-``L[j,j]^{-1}`` stack, and every update that targets a *fixed* entry (the
-tip delta, the top-boundary fill accumulation, and the back-propagation of
-the boundary/tip solutions) is hoisted out of the loop-carried chain into
-one batched ``einsum``/GEMM over the whole interior stack.
+The interior sweeps run as GEMMs against the cached ``L[j,j]^{-1}``
+stack, and every update that targets a *fixed* entry (the tip delta, the
+top-boundary fill accumulation, and the back-propagation of the
+boundary/tip solutions) is hoisted out of the loop-carried chain into one
+batched ``einsum``/GEMM over the whole interior stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.comm.communicator import Communicator
 from repro.structured import batched as bk
 from repro.structured.d_pobtaf import DistributedFactors
-from repro.structured.kernels import solve_lower, solve_lower_t
 from repro.structured.pobtas import pobtas, pobtas_lt
 
 
-def _forward_blocked(factors: DistributedFactors, rb, tip_delta, a: int, m: int) -> None:
-    if factors.part.is_first:
-        for i in range(m):
-            rb[i] = solve_lower(factors.ldiag[i], rb[i])
-            rb[i + 1] -= factors.lnext[i] @ rb[i]
-            if a:
-                tip_delta -= factors.larrow[i] @ rb[i]
-    else:
-        for i in range(m):
-            j = i + 1  # local index of the interior block
-            rb[j] = solve_lower(factors.ldiag[i], rb[j])
-            rb[j + 1] -= factors.lnext[i] @ rb[j]
-            rb[0] -= factors.lfill[i] @ rb[j]
-            if a:
-                tip_delta -= factors.larrow[i] @ rb[j]
-
-
-def _forward_batched(factors: DistributedFactors, rb, tip_delta, a: int, m: int) -> None:
+def _forward(factors: DistributedFactors, rb, tip_delta, a: int, m: int) -> None:
     inv = factors.ldiag_inverses()
     first = factors.part.is_first
     off = 0 if first else 1  # interiors live at rb[off : off + m]
@@ -70,23 +51,7 @@ def _forward_batched(factors: DistributedFactors, rb, tip_delta, a: int, m: int)
         tip_delta -= np.einsum("iab,ibk->ak", factors.larrow, solved)
 
 
-def _backward_blocked(factors: DistributedFactors, x, x_tip, a: int, m: int) -> None:
-    if factors.part.is_first:
-        for i in range(m - 1, -1, -1):
-            acc = x[i] - factors.lnext[i].T @ x[i + 1]
-            if a:
-                acc -= factors.larrow[i].T @ x_tip
-            x[i] = solve_lower_t(factors.ldiag[i], acc)
-    else:
-        for i in range(m - 1, -1, -1):
-            j = i + 1
-            acc = x[j] - factors.lnext[i].T @ x[j + 1] - factors.lfill[i].T @ x[0]
-            if a:
-                acc -= factors.larrow[i].T @ x_tip
-            x[j] = solve_lower_t(factors.ldiag[i], acc)
-
-
-def _backward_batched(factors: DistributedFactors, x, x_tip, a: int, m: int) -> None:
+def _backward(factors: DistributedFactors, x, x_tip, a: int, m: int) -> None:
     inv_t = factors.ldiag_inverses().transpose(0, 2, 1)
     first = factors.part.is_first
     off = 0 if first else 1
@@ -113,8 +78,6 @@ def d_pobtas(
     rhs_local: np.ndarray,
     rhs_tip: np.ndarray,
     comm: Communicator,
-    *,
-    batched: bool | None = None,
 ) -> tuple:
     """Solve ``A x = rhs`` with distributed factors (collective over ``comm``).
 
@@ -128,9 +91,6 @@ def d_pobtas(
     rhs_tip:
         The arrow-tip right-hand side, replicated on every rank,
         shape ``(a,)`` or ``(a, k)``.
-    batched:
-        Force the batched (True) or per-block reference (False) path;
-        None consults the ``REPRO_BATCHED`` environment switch.
 
     Returns
     -------
@@ -141,7 +101,6 @@ def d_pobtas(
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
-    use_batched = batched_enabled(batched)
 
     rhs_local = np.asarray(rhs_local, dtype=np.float64)
     rhs_tip = np.asarray(rhs_tip, dtype=np.float64)
@@ -154,10 +113,7 @@ def d_pobtas(
     tip_delta = np.zeros((a, k))
 
     # ---- forward: eliminate interior unknowns ---------------------------
-    if use_batched:
-        _forward_batched(factors, rb, tip_delta, a, m)
-    else:
-        _forward_blocked(factors, rb, tip_delta, a, m)
+    _forward(factors, rb, tip_delta, a, m)
 
     # ---- reduced right-hand side ----------------------------------------
     if a:
@@ -169,16 +125,13 @@ def d_pobtas(
 
     r_red = _gather_reduced_rhs(factors, rb, rt, comm)
 
-    x_red = pobtas(factors.reduced_chol, r_red, batched=use_batched)
+    x_red = pobtas(factors.reduced_chol, r_red)
 
     # ---- backward: recover interior unknowns -----------------------------
     x = rb  # solve in place; boundary slots receive the reduced solution
     x_tip = _scatter_reduced_solution(factors, x, x_red)
 
-    if use_batched:
-        _backward_batched(factors, x, x_tip, a, m)
-    else:
-        _backward_blocked(factors, x, x_tip, a, m)
+    _backward(factors, x, x_tip, a, m)
 
     x_local = x.reshape(nl * b, k)
     if squeeze:
@@ -247,8 +200,6 @@ def d_pobtas_lt(
     rhs_local: np.ndarray,
     rhs_tip: np.ndarray,
     comm: Communicator,
-    *,
-    batched: bool | None = None,
 ) -> tuple:
     """Backward-only distributed solve ``L^T x = rhs`` (collective).
 
@@ -274,7 +225,6 @@ def d_pobtas_lt(
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
-    use_batched = batched_enabled(batched)
 
     rhs_local = np.asarray(rhs_local, dtype=np.float64)
     rhs_tip = np.asarray(rhs_tip, dtype=np.float64)
@@ -290,16 +240,13 @@ def d_pobtas_lt(
     # block of the permuted upper-triangular system, so the boundary/tip
     # unknowns close without any interior contribution.
     r_red = _gather_reduced_rhs(factors, rb, rt, comm)
-    x_red = pobtas_lt(factors.reduced_chol, r_red, batched=use_batched)
+    x_red = pobtas_lt(factors.reduced_chol, r_red)
 
     # ---- interiors: pure local back-substitution against the boundary
     # and tip solutions (no further collectives).
     x = rb
     x_tip = _scatter_reduced_solution(factors, x, x_red)
-    if use_batched:
-        _backward_batched(factors, x, x_tip, a, m)
-    else:
-        _backward_blocked(factors, x, x_tip, a, m)
+    _backward(factors, x, x_tip, a, m)
 
     x_local = x.reshape(nl * b, k)
     if squeeze:
@@ -337,8 +284,6 @@ def d_pobtas_lanes(
     rhs_tip: np.ndarray,
     comm: Communicator,
     widths,
-    *,
-    batched: bool | None = None,
 ) -> tuple:
     """Multi-lane distributed solve: one collective round for many stacks.
 
@@ -358,7 +303,6 @@ def d_pobtas_lanes(
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
-    use_batched = batched_enabled(batched)
     locs, tips, widths, K = _lane_views(rhs_local, rhs_tip, widths, nl * b, a)
 
     # ---- forward: per-lane interior elimination (local, exact widths) ---
@@ -366,10 +310,7 @@ def d_pobtas_lanes(
     for r in locs:
         rb = r.reshape(nl, b, -1)
         tip_delta = np.zeros((a, rb.shape[-1]))
-        if use_batched:
-            _forward_batched(factors, rb, tip_delta, a, m)
-        else:
-            _forward_blocked(factors, rb, tip_delta, a, m)
+        _forward(factors, rb, tip_delta, a, m)
         rbs.append(rb)
         tip_deltas.append(tip_delta)
 
@@ -391,13 +332,10 @@ def d_pobtas_lanes(
     for rb, rt, w in zip(rbs, rts, widths):
         piece = [np.array(g[:, off : off + w], order="C", copy=True) for g in gathered]
         r_red = _reduced_from_gathered(factors, piece, rt, w)
-        x_red = pobtas(factors.reduced_chol, r_red, batched=use_batched)
+        x_red = pobtas(factors.reduced_chol, r_red)
         x = rb
         x_tip = _scatter_reduced_solution(factors, x, x_red)
-        if use_batched:
-            _backward_batched(factors, x, x_tip, a, m)
-        else:
-            _backward_blocked(factors, x, x_tip, a, m)
+        _backward(factors, x, x_tip, a, m)
         xls.append(x.reshape(nl * b, w))
         xts.append(x_tip)
         off += w
@@ -410,8 +348,6 @@ def d_pobtas_lt_lanes(
     rhs_tip: np.ndarray,
     comm: Communicator,
     widths,
-    *,
-    batched: bool | None = None,
 ) -> tuple:
     """Multi-lane backward-only distributed solve (one Allgather total).
 
@@ -423,7 +359,6 @@ def d_pobtas_lt_lanes(
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
-    use_batched = batched_enabled(batched)
     locs, tips, widths, K = _lane_views(rhs_local, rhs_tip, widths, nl * b, a)
 
     rbs = [r.reshape(nl, b, -1) for r in locs]
@@ -437,13 +372,10 @@ def d_pobtas_lt_lanes(
     for rb, rt, w in zip(rbs, rts, widths):
         piece = [np.array(g[:, off : off + w], order="C", copy=True) for g in gathered]
         r_red = _reduced_from_gathered(factors, piece, rt, w)
-        x_red = pobtas_lt(factors.reduced_chol, r_red, batched=use_batched)
+        x_red = pobtas_lt(factors.reduced_chol, r_red)
         x = rb
         x_tip = _scatter_reduced_solution(factors, x, x_red)
-        if use_batched:
-            _backward_batched(factors, x, x_tip, a, m)
-        else:
-            _backward_blocked(factors, x, x_tip, a, m)
+        _backward(factors, x, x_tip, a, m)
         xls.append(x.reshape(nl * b, w))
         xts.append(x_tip)
         off += w

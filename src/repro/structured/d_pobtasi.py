@@ -14,14 +14,14 @@ Step 2 is embarrassingly parallel — no communication at all — which is
 why the selected inversion weak-scales like the factorization in the
 paper's Fig. 5.
 
-On the batched path the interior sweep's right-divisions by ``L[j, j]``
-become GEMMs against the rank's cached ``L[j,j]^{-1}`` stack (computed in
-one batched triangular inversion over the independent interior factors),
-so each recursion step is pure batched-GEMM work.
+The interior sweep's right-divisions by ``L[j, j]`` are GEMMs against the
+rank's cached ``L[j,j]^{-1}`` stack (computed in one batched triangular
+inversion over the independent interior factors), so each recursion step
+is pure batched-GEMM work.
 
 Production consumers read only ``diag(A^{-1})`` (marginal variances):
 :func:`d_pobtasi_diag` mirrors the sequential carry-based recursion
-(:func:`repro.structured.pobtasi._pobtasi_batched_diag`) per rank — the
+(:func:`repro.structured.pobtasi._selinv_diag`) per rank — the
 same per-step operations and order as :func:`d_pobtasi`, but the
 ``X[j+1, j+1]`` / ``X[s, j+1]`` / ``X[t, j+1]`` blocks stay loop carries
 instead of materializing the full ``O(n_local b^2)`` inverse slice.
@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.structured.d_pobtaf import DistributedFactors, LocalBTASlice
-from repro.structured.kernels import right_solve_lower, solve_lower_t
 from repro.structured.pobtasi import pobtasi
 
 
@@ -41,9 +39,7 @@ def _symmetrize(block: np.ndarray) -> np.ndarray:
     return 0.5 * (block + block.T)
 
 
-def d_pobtasi(
-    factors: DistributedFactors, *, batched: bool | None = None
-) -> LocalBTASlice:
+def d_pobtasi(factors: DistributedFactors) -> LocalBTASlice:
     """This rank's slice of the selected inverse (no communication needed).
 
     Returns a :class:`LocalBTASlice` holding the inverse blocks for the
@@ -54,28 +50,11 @@ def d_pobtasi(
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
-    use_batched = batched_enabled(batched)
-    Xr = pobtasi(factors.reduced_chol, batched=use_batched)
+    Xr = pobtasi(factors.reduced_chol)
     pos_top, pos_bottom = factors.positions
-
-    if use_batched and m:
+    if m:
         inv = factors.ldiag_inverses()
         inv_t = inv.transpose(0, 2, 1)
-
-        def right_div(k, acc):
-            """``acc @ L[j_k, j_k]^{-1}`` via the cached inverse stack."""
-            return acc @ inv[k]
-
-        def linv_t(k):
-            return inv_t[k].copy()
-
-    else:
-
-        def right_div(k, acc):
-            return right_solve_lower(factors.ldiag[k], acc)
-
-        def linv_t(k):
-            return solve_lower_t(factors.ldiag[k], np.eye(b))
 
     diag_out = np.empty((nl, b, b))
     lower_out = np.empty((max(nl - 1, 0), b, b))
@@ -92,15 +71,15 @@ def d_pobtasi(
             acc = x_next @ en
             if a:
                 acc += xa_next.T @ ea
-            x_off = -right_div(k, acc)  # X[j+1, j]
+            x_off = -(acc @ inv[k])  # X[j+1, j]
             if a:
-                x_arr = -right_div(k, xa_next @ en + tip_out @ ea)  # X[t, j]
+                x_arr = -((xa_next @ en + tip_out @ ea) @ inv[k])  # X[t, j]
             else:
                 x_arr = np.zeros((a, b))
-            acc_d = linv_t(k) - x_off.T @ en
+            acc_d = inv_t[k].copy() - x_off.T @ en
             if a:
                 acc_d -= x_arr.T @ ea
-            x_diag = _symmetrize(right_div(k, acc_d))
+            x_diag = _symmetrize(acc_d @ inv[k])
             lower_out[k] = x_off
             arrow_out[k] = x_arr
             diag_out[k] = x_diag
@@ -157,22 +136,22 @@ def d_pobtasi(
         acc = x_next @ en + xs_next.T @ ef
         if a:
             acc += xa_next.T @ ea
-        x_off = -right_div(k, acc)
+        x_off = -(acc @ inv[k])
         # X[s, j]
         acc_s = xs_next @ en + x_ss @ ef
         if a:
             acc_s += x_ts.T @ ea
-        xs_j = -right_div(k, acc_s)
+        xs_j = -(acc_s @ inv[k])
         # X[t, j]
         if a:
-            x_arr = -right_div(k, xa_next @ en + x_ts @ ef + tip_out @ ea)
+            x_arr = -((xa_next @ en + x_ts @ ef + tip_out @ ea) @ inv[k])
         else:
             x_arr = np.zeros((a, b))
         # X[j, j]
-        acc_d = linv_t(k) - x_off.T @ en - xs_j.T @ ef
+        acc_d = inv_t[k].copy() - x_off.T @ en - xs_j.T @ ef
         if a:
             acc_d -= x_arr.T @ ea
-        x_diag = _symmetrize(right_div(k, acc_d))
+        x_diag = _symmetrize(acc_d @ inv[k])
 
         lower_out[j] = x_off
         arrow_out[j] = x_arr
@@ -191,9 +170,7 @@ def d_pobtasi(
     )
 
 
-def d_pobtasi_diag(
-    factors: DistributedFactors, *, batched: bool | None = None
-) -> tuple:
+def d_pobtasi_diag(factors: DistributedFactors) -> tuple:
     """This rank's slice of ``diag(A^{-1})`` — carry-based, no full slice.
 
     Returns ``(diag_local, tip_diag)``: the scalar diagonal over the
@@ -203,20 +180,12 @@ def d_pobtasi_diag(
     bit-identical — but keeps the previous block's inverse blocks as loop
     carries, so no ``(n_local, b, b)`` inverse stacks are ever
     materialized (only the small reduced boundary system is still
-    selected-inverted in full).  The reference path (``batched=False``)
-    extracts the diagonal from the full recursion as ground truth.
+    selected-inverted in full).
     """
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
-    if not batched_enabled(batched):
-        xi = d_pobtasi(factors, batched=False)
-        return (
-            np.ascontiguousarray(np.diagonal(xi.diag, axis1=1, axis2=2)).ravel(),
-            np.ascontiguousarray(np.diagonal(xi.tip)),
-        )
-
-    Xr = pobtasi(factors.reduced_chol, batched=True)
+    Xr = pobtasi(factors.reduced_chol)
     pos_top, pos_bottom = factors.positions
     tip_out = Xr.tip
     tip_diag = np.ascontiguousarray(np.diagonal(tip_out))

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend.protocol import NUMPY_BACKEND, Backend
-from repro.errors import NPDJitterWarning
+from repro.errors import NotPositiveDefiniteError, NPDJitterWarning
 
 # Pinned to the thread launcher on purpose: the closure-based rank
 # functions below capture (and mutate) handle state across epochs, which
@@ -57,7 +57,6 @@ from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.d_pobtaf import DistributedFactors, d_pobtaf, partition_matrix
 from repro.structured.d_pobtas import d_pobtas
 from repro.structured.d_pobtasi import d_pobtasi_diag
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.multirhs import (
     as_rhs_stack,
     d_pobtas_lt_stack,
@@ -168,9 +167,6 @@ class BTAFactor:
     """
 
     chol: BTACholesky
-    #: Execution-path pin (None follows ``REPRO_BATCHED``), matching the
-    #: ``batched=`` argument of the solver that produced the handle.
-    batched: bool | None = None
     #: Absolute diagonal jitter the NPD recovery chain added before this
     #: factorization succeeded (0.0 on the normal, unjittered path).  The
     #: handle then factors ``A + applied_jitter * I``, not ``A``.
@@ -215,12 +211,12 @@ class BTAFactor:
     def logdet(self) -> float:
         """``log det A`` from the factor diagonal (cached)."""
         if self._logdet is None:
-            self._logdet = self.chol.logdet(batched=self.batched)
+            self._logdet = self.chol.logdet()
         return self._logdet
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` (vector ``(N,)`` or columns ``(N, k)``)."""
-        return pobtas(self.chol, rhs, batched=self.batched)
+        return pobtas(self.chol, rhs)
 
     def solve_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
         """Solve a row-major ``(k, N)`` RHS stack in one panel pass.
@@ -232,11 +228,11 @@ class BTAFactor:
         rhs_stack = self.backend.asarray(rhs_stack)
         k = 1 if rhs_stack.ndim == 1 else rhs_stack.shape[0]
         with self._pool.lease(k) as ws:
-            return pobtas_stack(self.chol, rhs_stack, batched=self.batched, workspace=ws)
+            return pobtas_stack(self.chol, rhs_stack, workspace=ws)
 
     def solve_lt(self, rhs: np.ndarray) -> np.ndarray:
         """Backward-only solve ``L^T x = rhs`` (the sampling primitive)."""
-        return pobtas_lt(self.chol, rhs, batched=self.batched)
+        return pobtas_lt(self.chol, rhs)
 
     def solve_lt_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
         """Backward-only solve for a row-major ``(k, N)`` stack.
@@ -248,7 +244,7 @@ class BTAFactor:
         rhs_stack = self.backend.asarray(rhs_stack)
         k = 1 if rhs_stack.ndim == 1 else rhs_stack.shape[0]
         with self._pool.lease(k) as ws:
-            return pobtas_lt_stack(self.chol, rhs_stack, batched=self.batched, workspace=ws)
+            return pobtas_lt_stack(self.chol, rhs_stack, workspace=ws)
 
     def solve_stack_lanes(self, stacks: list) -> list:
         """Solve several independent ``(k_i, N)`` stacks, in lane order.
@@ -266,16 +262,16 @@ class BTAFactor:
 
     def selected_inverse(self) -> BTAMatrix:
         """Selected entries of ``A^{-1}`` (full BTA block pattern)."""
-        return pobtasi(self.chol, batched=self.batched)
+        return pobtasi(self.chol)
 
     def selected_inverse_diagonal(self) -> np.ndarray:
         """Diagonal of ``A^{-1}`` — the marginal variances (cached).
 
         Runs the diagonal-only Takahashi recursion (no full-``X``
-        materialization) on the batched path.
+        materialization).
         """
         if self._selinv_diag is None:
-            self._selinv_diag = selected_inverse_diagonal(self.chol, batched=self.batched)
+            self._selinv_diag = selected_inverse_diagonal(self.chol)
         return self._selinv_diag.copy()
 
     def solve_and_selected_inverse_diagonal(self, rhs: np.ndarray) -> tuple:
@@ -286,9 +282,7 @@ class BTAFactor:
         (:func:`repro.structured.pobtasi.solve_and_selected_inverse_diagonal`)
         — the INLA marginals' hot pair.
         """
-        x, var = solve_and_selected_inverse_diagonal(
-            self.chol, rhs, batched=self.batched
-        )
+        x, var = solve_and_selected_inverse_diagonal(self.chol, rhs)
         if self._selinv_diag is None:
             self._selinv_diag = var.copy()
         return x, var
@@ -324,7 +318,6 @@ class DistributedBTAFactor:
 
     shape3: BTAShape
     factors: list
-    batched: bool | None = None
     _logdet: float | None = field(default=None, repr=False)
     _selinv_diag: np.ndarray | None = field(default=None, repr=False)
 
@@ -362,7 +355,7 @@ class DistributedBTAFactor:
 
             def rank_fn(comm):
                 f = self._rank_factors(comm)
-                return f.logdet(comm, batched=self.batched)
+                return f.logdet(comm)
 
             self._logdet = _run_spmd_spd(self.P, rank_fn)[0]
         return self._logdet
@@ -374,7 +367,7 @@ class DistributedBTAFactor:
 
         def rank_fn(comm):
             f = self._rank_factors(comm)
-            return d_pobtas(f, self._local(rhs, f), tip, comm, batched=self.batched)
+            return d_pobtas(f, self._local(rhs, f), tip, comm)
 
         out = _run_spmd_spd(self.P, rank_fn)
         return np.concatenate([o[0] for o in out] + [out[0][1]])
@@ -387,13 +380,7 @@ class DistributedBTAFactor:
         def rank_fn(comm):
             f = self._rank_factors(comm)
             b = self.b
-            return d_pobtas_stack(
-                f,
-                stack[:, f.part.start * b : f.part.stop * b],
-                tip,
-                comm,
-                batched=self.batched,
-            )
+            return d_pobtas_stack(f, stack[:, f.part.start * b : f.part.stop * b], tip, comm)
 
         out = _run_spmd_spd(self.P, rank_fn)
         x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
@@ -415,13 +402,7 @@ class DistributedBTAFactor:
         def rank_fn(comm):
             f = self._rank_factors(comm)
             b = self.b
-            return d_pobtas_lt_stack(
-                f,
-                stack[:, f.part.start * b : f.part.stop * b],
-                tip,
-                comm,
-                batched=self.batched,
-            )
+            return d_pobtas_lt_stack(f, stack[:, f.part.start * b : f.part.stop * b], tip, comm)
 
         out = _run_spmd_spd(self.P, rank_fn)
         x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
@@ -437,7 +418,7 @@ class DistributedBTAFactor:
             f = self._rank_factors(comm)
             b = self.b
             locs = [s[:, f.part.start * b : f.part.stop * b] for s in norm]
-            return lanes_fn(f, locs, tips, comm, batched=self.batched)
+            return lanes_fn(f, locs, tips, comm)
 
         out = _run_spmd_spd(self.P, rank_fn)
         return [
@@ -470,7 +451,7 @@ class DistributedBTAFactor:
         if self._selinv_diag is None:
 
             def rank_fn(comm):
-                return d_pobtasi_diag(self._rank_factors(comm), batched=self.batched)
+                return d_pobtasi_diag(self._rank_factors(comm))
 
             out = _run_spmd_spd(self.P, rank_fn)
             self._selinv_diag = np.concatenate([o[0] for o in out] + [out[0][1]])
@@ -483,8 +464,8 @@ class DistributedBTAFactor:
 
         def rank_fn(comm):
             f = self._rank_factors(comm)
-            xl, xt = d_pobtas(f, self._local(rhs, f), tip, comm, batched=self.batched)
-            var_local, var_tip = d_pobtasi_diag(f, batched=self.batched)
+            xl, xt = d_pobtas(f, self._local(rhs, f), tip, comm)
+            var_local, var_tip = d_pobtasi_diag(f)
             return xl, xt, var_local, var_tip
 
         out = _run_spmd_spd(self.P, rank_fn)
@@ -519,73 +500,69 @@ class DistributedBTAFactor:
 _STORE_KEY = "dbta_factors"
 
 
-def _proc_job_factorize(comm, slices, batched):
+def _proc_job_factorize(comm, slices):
     from repro.comm.launcher import worker_store
 
-    f = d_pobtaf(slices[comm.Get_rank()], comm, batched=batched)
+    f = d_pobtaf(slices[comm.Get_rank()], comm)
     worker_store()[_STORE_KEY] = f
-    return f.logdet(comm, batched=batched)
+    return f.logdet(comm)
 
 
-def _proc_job_solve(comm, rhs, tip, batched):
+def _proc_job_solve(comm, rhs, tip):
     from repro.comm.launcher import worker_store
 
     f = worker_store()[_STORE_KEY]
     b = f.b
-    return d_pobtas(f, rhs[f.part.start * b : f.part.stop * b], tip, comm, batched=batched)
+    return d_pobtas(f, rhs[f.part.start * b : f.part.stop * b], tip, comm)
 
 
-def _proc_job_solve_stack(comm, stack, tip, batched):
+def _proc_job_solve_stack(comm, stack, tip):
     from repro.comm.launcher import worker_store
 
     f = worker_store()[_STORE_KEY]
     b = f.b
-    return d_pobtas_stack(
-        f, stack[:, f.part.start * b : f.part.stop * b], tip, comm, batched=batched
-    )
+    return d_pobtas_stack(f, stack[:, f.part.start * b : f.part.stop * b], tip, comm)
 
 
-def _proc_job_solve_lt_stack(comm, stack, tip, batched):
+def _proc_job_solve_lt_stack(comm, stack, tip):
     from repro.comm.launcher import worker_store
 
     f = worker_store()[_STORE_KEY]
     b = f.b
-    return d_pobtas_lt_stack(
-        f, stack[:, f.part.start * b : f.part.stop * b], tip, comm, batched=batched
-    )
+    return d_pobtas_lt_stack(f, stack[:, f.part.start * b : f.part.stop * b], tip, comm)
 
 
-def _proc_job_solve_stack_lanes(comm, stacks, tips, batched):
+def _proc_job_solve_stack_lanes(comm, stacks, tips):
     from repro.comm.launcher import worker_store
 
     f = worker_store()[_STORE_KEY]
     b = f.b
     locs = [s[:, f.part.start * b : f.part.stop * b] for s in stacks]
-    return d_pobtas_stack_lanes(f, locs, tips, comm, batched=batched)
+    return d_pobtas_stack_lanes(f, locs, tips, comm)
 
 
-def _proc_job_solve_lt_stack_lanes(comm, stacks, tips, batched):
+def _proc_job_solve_lt_stack_lanes(comm, stacks, tips):
     from repro.comm.launcher import worker_store
 
     f = worker_store()[_STORE_KEY]
     b = f.b
     locs = [s[:, f.part.start * b : f.part.stop * b] for s in stacks]
-    return d_pobtas_lt_stack_lanes(f, locs, tips, comm, batched=batched)
+    return d_pobtas_lt_stack_lanes(f, locs, tips, comm)
 
 
-def _proc_job_selinv_diag(comm, batched):
+def _proc_job_selinv_diag(comm):
     from repro.comm.launcher import worker_store
 
-    return d_pobtasi_diag(worker_store()[_STORE_KEY], batched=batched)
+    return d_pobtasi_diag(worker_store()[_STORE_KEY])
 
 
-def _proc_job_solve_and_selinv(comm, rhs, tip, batched):
+def _proc_job_solve_and_selinv(comm, rhs, tip):
     from repro.comm.launcher import worker_store
 
     f = worker_store()[_STORE_KEY]
     b = f.b
-    xl, xt = d_pobtas(f, rhs[f.part.start * b : f.part.stop * b], tip, comm, batched=batched)
-    var_local, var_tip = d_pobtasi_diag(f, batched=batched)
+    xl, xt = d_pobtas(f, rhs[f.part.start * b : f.part.stop * b], tip, comm)
+    var_local, var_tip = d_pobtasi_diag(f)
     return xl, xt, var_local, var_tip
 
 
@@ -608,7 +585,6 @@ class ProcDistributedBTAFactor:
         P: int,
         *,
         lb: float = 1.6,
-        batched: bool | None = None,
         start_method: str | None = None,
     ):
         from repro.comm.launcher import SpmdSession
@@ -616,7 +592,6 @@ class ProcDistributedBTAFactor:
         if P < 1:
             raise ValueError(f"P must be >= 1, got {P}")
         self.shape3 = A.shape3
-        self.batched = batched
         slices = partition_matrix(A, P, lb=lb)
         self._bounds = [(sl.part.start, sl.part.stop) for sl in slices]
         self._selinv_diag: np.ndarray | None = None
@@ -625,7 +600,7 @@ class ProcDistributedBTAFactor:
             # warmup=True: the session replays this epoch after a respawn,
             # rebuilding every rank's resident factor slices before any
             # retried solve epoch touches the worker_store.
-            self._logdet = self._run(_proc_job_factorize, slices, batched, warmup=True)[0]
+            self._logdet = self._run(_proc_job_factorize, slices, warmup=True)[0]
         except BaseException:
             self._session.close()
             raise
@@ -666,29 +641,25 @@ class ProcDistributedBTAFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
-        out = self._run(_proc_job_solve, rhs, rhs[self.n * self.b :], self.batched)
+        out = self._run(_proc_job_solve, rhs, rhs[self.n * self.b :])
         return np.concatenate([o[0] for o in out] + [out[0][1]])
 
     def solve_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
         stack, squeeze = as_rhs_stack(rhs_stack, self.N)
-        out = self._run(
-            _proc_job_solve_stack, stack, stack[:, self.n * self.b :], self.batched
-        )
+        out = self._run(_proc_job_solve_stack, stack, stack[:, self.n * self.b :])
         x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
         return x[0] if squeeze else x
 
     def solve_lt_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
         stack, squeeze = as_rhs_stack(rhs_stack, self.N)
-        out = self._run(
-            _proc_job_solve_lt_stack, stack, stack[:, self.n * self.b :], self.batched
-        )
+        out = self._run(_proc_job_solve_lt_stack, stack, stack[:, self.n * self.b :])
         x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
         return x[0] if squeeze else x
 
     def _solve_lanes(self, stacks: list, job) -> list:
         norm = [as_rhs_stack(s, self.N)[0] for s in stacks]
         tips = [s[:, self.n * self.b :] for s in norm]
-        out = self._run(job, norm, tips, self.batched)
+        out = self._run(job, norm, tips)
         return [
             np.concatenate([o[i][0] for o in out] + [out[0][i][1]], axis=1)
             for i in range(len(stacks))
@@ -709,13 +680,13 @@ class ProcDistributedBTAFactor:
 
     def selected_inverse_diagonal(self) -> np.ndarray:
         if self._selinv_diag is None:
-            out = self._run(_proc_job_selinv_diag, self.batched)
+            out = self._run(_proc_job_selinv_diag)
             self._selinv_diag = np.concatenate([o[0] for o in out] + [out[0][1]])
         return self._selinv_diag.copy()
 
     def solve_and_selected_inverse_diagonal(self, rhs: np.ndarray) -> tuple:
         rhs = np.asarray(rhs, dtype=np.float64)
-        out = self._run(_proc_job_solve_and_selinv, rhs, rhs[self.n * self.b :], self.batched)
+        out = self._run(_proc_job_solve_and_selinv, rhs, rhs[self.n * self.b :])
         x = np.concatenate([o[0] for o in out] + [out[0][1]])
         var = np.concatenate([o[2] for o in out] + [out[0][3]])
         if self._selinv_diag is None:
@@ -746,7 +717,6 @@ def d_factorize_proc(
     P: int,
     *,
     lb: float = 1.6,
-    batched: bool | None = None,
     start_method: str | None = None,
 ) -> ProcDistributedBTAFactor:
     """Distributed factorization over ``P`` worker *processes*.
@@ -755,7 +725,7 @@ def d_factorize_proc(
     the workers (and their resident factor slices) alive for later
     solve/selected-inverse/sampling epochs.  Close the handle when done.
     """
-    return ProcDistributedBTAFactor(A, P, lb=lb, batched=batched, start_method=start_method)
+    return ProcDistributedBTAFactor(A, P, lb=lb, start_method=start_method)
 
 
 @dataclass(frozen=True)
@@ -828,7 +798,6 @@ def factorize(
     A: BTAMatrix,
     *,
     overwrite: bool = False,
-    batched: bool | None = None,
     jitter: bool | NPDJitterPolicy | None = None,
 ) -> BTAFactor:
     """Factorize ``A = L L^T`` and return the sequential handle.
@@ -849,11 +818,11 @@ def factorize(
     """
     policy = _resolve_jitter(jitter)
     if policy is None:
-        return BTAFactor(chol=pobtaf(A, overwrite=overwrite, batched=batched), batched=batched)
+        return BTAFactor(chol=pobtaf(A, overwrite=overwrite))
     try:
         # Never in place: a mid-factorization NPD abort would corrupt the
         # pristine values every recovery rung must start from.
-        return BTAFactor(chol=pobtaf(A, overwrite=False, batched=batched), batched=batched)
+        return BTAFactor(chol=pobtaf(A, overwrite=False))
     except NotPositiveDefiniteError:
         pass
     scale = _diag_scale(A)
@@ -861,7 +830,7 @@ def factorize(
     for eps in policy.rungs():
         amount = eps * scale
         try:
-            chol = pobtaf(_with_diag_jitter(A, amount), overwrite=True, batched=batched)
+            chol = pobtaf(_with_diag_jitter(A, amount), overwrite=True)
         except NotPositiveDefiniteError as exc:
             last_exc = exc
             continue
@@ -871,16 +840,14 @@ def factorize(
             NPDJitterWarning,
             stacklevel=2,
         )
-        return BTAFactor(chol=chol, batched=batched, applied_jitter=amount)
+        return BTAFactor(chol=chol, applied_jitter=amount)
     raise NotPositiveDefiniteError(
         f"matrix is not positive definite even after {policy.max_tries} "
         f"diagonal jitter attempts up to {eps * scale:.3e}"
     ) from last_exc
 
 
-def d_factorize(
-    A: BTAMatrix, P: int, *, lb: float = 1.6, batched: bool | None = None
-) -> DistributedBTAFactor:
+def d_factorize(A: BTAMatrix, P: int, *, lb: float = 1.6) -> DistributedBTAFactor:
     """Distributed factorization over ``P`` SPMD ranks, returning the handle.
 
     One collective ``d_pobtaf`` epoch; the per-rank factors (and the
@@ -894,13 +861,12 @@ def d_factorize(
     slices = partition_matrix(A, P, lb=lb)
 
     def rank_fn(comm):
-        f = d_pobtaf(slices[comm.Get_rank()], comm, batched=batched)
-        return f, f.logdet(comm, batched=batched)
+        f = d_pobtaf(slices[comm.Get_rank()], comm)
+        return f, f.logdet(comm)
 
     out = _run_spmd_spd(P, rank_fn)
     return DistributedBTAFactor(
         shape3=A.shape3,
         factors=[o[0] for o in out],
-        batched=batched,
         _logdet=out[0][1],
     )

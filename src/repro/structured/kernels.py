@@ -1,68 +1,9 @@
-"""Small dense block kernels shared by the structured solvers.
+"""Historical import path of :class:`~repro.errors.NotPositiveDefiniteError`.
 
-All routines operate on individual ``b x b`` (or ``a x b``) blocks and wrap
-LAPACK through SciPy with ``check_finite=False`` (the solvers validate
-inputs once at the top, not per block — guide: avoid needless per-call
-overhead in hot loops).
+The per-block dense kernels that used to live here were the reference
+path of the structured solvers; they now serve only as a test oracle.
 """
 
-from __future__ import annotations
-
-import numpy as np
-from scipy.linalg import LinAlgError, cholesky as _cholesky, solve_triangular as _solve_triangular
-
-# Re-homed into the unified hierarchy (repro.errors); this module stays
-# the historical import path for every solver-layer consumer.
 from repro.errors import NotPositiveDefiniteError
 
-
-def chol_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite block."""
-    try:
-        return _cholesky(a, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-
-
-def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``L^{-1} B`` for lower-triangular ``L``."""
-    return _solve_triangular(l, b, lower=True, check_finite=False)
-
-
-def solve_lower_t(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``L^{-T} B`` for lower-triangular ``L``."""
-    return _solve_triangular(l, b, lower=True, trans="T", check_finite=False)
-
-
-def right_solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``B L^{-1}`` for lower-triangular ``L`` (right division)."""
-    # (B L^{-1})^T = L^{-T} B^T
-    return _solve_triangular(l, b.T, lower=True, trans="T", check_finite=False).T
-
-
-def right_solve_lower_t(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``B L^{-T}`` for lower-triangular ``L`` (right division by transpose)."""
-    # (B L^{-T})^T = L^{-1} B^T
-    return _solve_triangular(l, b.T, lower=True, check_finite=False).T
-
-
-def tri_inverse_lower(l: np.ndarray) -> np.ndarray:
-    """Explicit ``L^{-1}`` of a small lower-triangular block."""
-    return _solve_triangular(l, np.eye(l.shape[0]), lower=True, check_finite=False)
-
-
-def logdet_from_chol_diag(l: np.ndarray) -> float:
-    """``log det`` contribution of one Cholesky block: ``2 sum log diag(L)``.
-
-    Single pass over the diagonal: instead of scanning for non-positive
-    entries and then taking logs (two reads of ``d`` on the hot path),
-    invalid entries surface as non-finite logs and are detected on the
-    reduced scalar.  This also catches NaNs, which the old ``d <= 0``
-    check silently let through.
-    """
-    d = np.diagonal(l)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        total = float(np.sum(np.log(d)))
-    if d.size and not np.isfinite(total):
-        raise NotPositiveDefiniteError("non-positive diagonal in Cholesky factor")
-    return 2.0 * total
+__all__ = ["NotPositiveDefiniteError"]

@@ -29,11 +29,10 @@ rows) and serves
   sampling for any single theta reuse the batch factorization.
 
 Path contract.  Each theta's slab undergoes the *identical* per-step
-operations as the sequential batched path
-(:func:`repro.structured.pobtaf._pobtaf_batched`): at ``t = 1`` results
-are bit-for-bit equal to ``factorize(A, batched=True)``, and the looped
-``REPRO_BATCHED=0`` reference agrees to 1e-10
-(``tests/structured/test_multifactor.py``).  The
+operations as the sequential path
+(:func:`repro.structured.pobtaf._eliminate`): at ``t = 1`` results
+are bit-for-bit equal to ``factorize(A)``, and the per-block reference
+agrees to 1e-10 (``tests/structured/test_multifactor.py``).  The
 :data:`repro.structured.pobtaf.FACTORIZATIONS` counter counts
 factorization *sweeps*: one ``factorize_batch`` call increments it once,
 however many thetas it stacks — which is exactly what the evaluator's
@@ -49,10 +48,10 @@ import numpy as np
 
 from repro import faults
 from repro.backend.protocol import Backend, backend_for
+from repro.errors import NotPositiveDefiniteError
 from repro.structured import batched as bk
 from repro.structured.bta import BTAMatrix, BTAShape, BTAStack
 from repro.structured.factor import BTAFactor, NPDJitterPolicy, _resolve_jitter, factorize
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.pobtaf import FACTORIZATIONS, BTACholesky
 
 __all__ = ["BTAFactorBatch", "factorize_batch"]
@@ -179,9 +178,8 @@ class BTAFactorBatch:
         The handle's Cholesky blocks, cached triangular inverses and flat
         arrow row are views into the shared theta stacks — selected
         inversion, stacked solves and sampling for this theta all reuse
-        the batch factorization without any further ``pobtaf``.  The
-        execution path is pinned to the batched kernels (the sweeps GEMM
-        against the cached inverses the batch sweep produced).
+        the batch factorization without any further ``pobtaf``: the
+        sweeps GEMM against the cached inverses the batch sweep produced.
         """
         j = int(j)
         if not -self.t <= j < self.t:
@@ -198,7 +196,6 @@ class BTAFactorBatch:
         )
         f = BTAFactor(
             chol=chol,
-            batched=True,
             applied_jitter=(
                 0.0 if self.applied_jitter is None else float(self.applied_jitter[j])
             ),
@@ -229,13 +226,13 @@ def _recover_batch(pristine, t: int, be: Backend, policy: NPDJitterPolicy) -> BT
     """Per-lane NPD recovery: refactorize every theta from pristine values.
 
     Each lane goes through :func:`repro.structured.factor.factorize` with
-    the batched kernels pinned and the caller's jitter policy.  Lanes that
-    factorize cleanly report ``applied_jitter`` 0.0 and are bit-identical
-    to the fault-free batch result (the documented ``factorize_batch`` ==
-    per-theta ``factorize(batched=True)`` contract); only lanes that
+    the caller's jitter policy.  Lanes that factorize cleanly report
+    ``applied_jitter`` 0.0 and are bit-identical to the fault-free batch
+    result (the documented ``factorize_batch`` == per-theta
+    ``factorize`` contract); only lanes that
     genuinely need jitter differ — audited, never silent.
     """
-    lanes = [factorize(_pristine_lane(pristine, j), batched=True, jitter=policy) for j in range(t)]
+    lanes = [factorize(_pristine_lane(pristine, j), jitter=policy) for j in range(t)]
     xp = be.xp
     batch = BTAFactorBatch(
         shape3=lanes[0].shape3,
@@ -280,7 +277,7 @@ def factorize_batch(
 
     ``jitter`` opts into the audited per-lane NPD recovery chain: on any
     failure the whole batch is refactorized lane by lane from pristine
-    values through ``factorize(..., batched=True, jitter=policy)``.
+    values through ``factorize(..., jitter=policy)``.
     Lanes needing no jitter stay bit-identical to the fault-free batch;
     recovered lanes report their added diagonal in the returned batch's
     ``applied_jitter`` array.  With ``overwrite=True`` and jitter active,

@@ -22,11 +22,9 @@ on return.  Non-contiguous and strided stacks are accepted.
 
 Path contract
 -------------
-The batched path (default) drives the exact same panel-sweep kernels as
-the unstacked solvers, so a stacked solve with ``k = 1`` is **bit-for-bit
-identical** to the per-RHS entry point.  The reference path
-(``REPRO_BATCHED=0`` or ``batched=False``) is defined as the *looped*
-per-RHS solve — one full per-block sweep per row — which is both the
+The stacked sweeps drive the exact same panel-sweep kernels as the
+unstacked solvers, so a stacked solve with ``k = 1`` is **bit-for-bit
+identical** to the per-RHS entry point.  The looped per-RHS solve is the
 semantic baseline the tests compare against (1e-10) and the A/B baseline
 of ``benchmarks/bench_multirhs.py``.
 """
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import Backend, backend_for
 from repro.comm.communicator import Communicator
 from repro.structured.d_pobtaf import DistributedFactors
@@ -46,12 +43,7 @@ from repro.structured.d_pobtas import (
     d_pobtas_lt_lanes,
 )
 from repro.structured.pobtaf import BTACholesky
-from repro.structured.pobtas import (
-    backward_sweep_panels,
-    forward_sweep_panels,
-    pobtas,
-    pobtas_lt,
-)
+from repro.structured.pobtas import backward_sweep_panels, forward_sweep_panels
 
 __all__ = [
     "as_rhs_stack",
@@ -121,14 +113,12 @@ def pobtas_stack(
     chol: BTACholesky,
     stack: np.ndarray,
     *,
-    batched: bool | None = None,
     workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve ``A X^T = stack^T`` for a row-major ``(k, N)`` RHS stack.
 
-    Returns the solutions in the same row-major layout.  On the batched
-    path all ``k`` right-hand sides share one forward + one backward
-    loop-carried pass; the reference path loops the per-RHS solver.
+    Returns the solutions in the same row-major layout.  All ``k``
+    right-hand sides share one forward + one backward loop-carried pass.
     ``workspace`` optionally supplies the ``(N, k)`` sweep buffer (see
     :class:`repro.structured.factor.BTAFactor`).
     """
@@ -136,9 +126,6 @@ def pobtas_stack(
     stack, squeeze = as_rhs_stack(stack, L.N, backend=chol.get_backend())
     if stack.shape[0] == 0:
         return stack.copy()
-    if not batched_enabled(batched, chol.get_backend()):
-        out = np.stack([pobtas(chol, stack[j], batched=False) for j in range(stack.shape[0])])
-        return out[0] if squeeze else out
     cols, xb, xt = _to_panels(chol, stack, workspace)
     forward_sweep_panels(chol, xb, xt, L.a, L.n)
     backward_sweep_panels(chol, xb, xt, L.a, L.n)
@@ -149,7 +136,6 @@ def pobtas_lt_stack(
     chol: BTACholesky,
     stack: np.ndarray,
     *,
-    batched: bool | None = None,
     workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backward-only stacked solve ``L^T X^T = stack^T`` (row-major).
@@ -162,11 +148,6 @@ def pobtas_lt_stack(
     stack, squeeze = as_rhs_stack(stack, L.N, backend=chol.get_backend())
     if stack.shape[0] == 0:
         return stack.copy()
-    if not batched_enabled(batched, chol.get_backend()):
-        out = np.stack(
-            [pobtas_lt(chol, stack[j], batched=False) for j in range(stack.shape[0])]
-        )
-        return out[0] if squeeze else out
     cols, xb, xt = _to_panels(chol, stack, workspace)
     backward_sweep_panels(chol, xb, xt, L.a, L.n)
     return _from_panels(cols, squeeze, owned=cols is not workspace)
@@ -177,8 +158,6 @@ def d_pobtas_stack(
     stack_local: np.ndarray,
     stack_tip: np.ndarray,
     comm: Communicator,
-    *,
-    batched: bool | None = None,
 ) -> tuple:
     """Row-major stacked interface to the distributed solve (P POBTAS).
 
@@ -201,7 +180,6 @@ def d_pobtas_stack(
         np.ascontiguousarray(stack_local.T),
         np.ascontiguousarray(stack_tip.T),
         comm,
-        batched=batched,
     )
     if squeeze:
         return xl[:, 0], xt[:, 0]
@@ -213,8 +191,6 @@ def d_pobtas_lt_stack(
     stack_local: np.ndarray,
     stack_tip: np.ndarray,
     comm: Communicator,
-    *,
-    batched: bool | None = None,
 ) -> tuple:
     """Row-major stacked interface to the distributed ``L^T`` solve.
 
@@ -238,7 +214,6 @@ def d_pobtas_lt_stack(
         np.ascontiguousarray(stack_local.T),
         np.ascontiguousarray(stack_tip.T),
         comm,
-        batched=batched,
     )
     if squeeze:
         return xl[:, 0], xt[:, 0]
@@ -286,8 +261,6 @@ def d_pobtas_stack_lanes(
     stacks_local: list,
     stacks_tip: list,
     comm: Communicator,
-    *,
-    batched: bool | None = None,
 ) -> list:
     """Row-major multi-lane interface to the distributed solve.
 
@@ -301,7 +274,7 @@ def d_pobtas_stack_lanes(
     """
     nl_b = factors.part.n_blocks * factors.b
     cols_local, cols_tip, widths = _lanes_to_cols(stacks_local, stacks_tip, nl_b, factors.a)
-    xl, xt = d_pobtas_lanes(factors, cols_local, cols_tip, comm, widths, batched=batched)
+    xl, xt = d_pobtas_lanes(factors, cols_local, cols_tip, comm, widths)
     return _cols_to_lanes(xl, xt, widths)
 
 
@@ -310,8 +283,6 @@ def d_pobtas_lt_stack_lanes(
     stacks_local: list,
     stacks_tip: list,
     comm: Communicator,
-    *,
-    batched: bool | None = None,
 ) -> list:
     """Row-major multi-lane interface to the distributed ``L^T`` solve.
 
@@ -322,5 +293,5 @@ def d_pobtas_lt_stack_lanes(
     """
     nl_b = factors.part.n_blocks * factors.b
     cols_local, cols_tip, widths = _lanes_to_cols(stacks_local, stacks_tip, nl_b, factors.a)
-    xl, xt = d_pobtas_lt_lanes(factors, cols_local, cols_tip, comm, widths, batched=batched)
+    xl, xt = d_pobtas_lt_lanes(factors, cols_local, cols_tip, comm, widths)
     return _cols_to_lanes(xl, xt, widths)

@@ -14,18 +14,15 @@ block-dense approach ``O(n b^3)`` instead of a general sparse
 Cost per diagonal block: one ``POTRF`` + two ``TRSM`` + three ``GEMM``-like
 updates, i.e. ``O(n (b^3 + a b^2) + a^3)`` total.
 
-Two execution paths (same math, same flop count — see
-:mod:`repro.perfmodel.flops`):
-
-- the per-block reference path, looping the SciPy kernels of
-  :mod:`repro.structured.kernels` block by block;
-- the batched path (default, ``REPRO_BATCHED=1``), which fuses the two
-  TRSMs of each elimination step into one call on the stacked operand
-  ``[lower; arrow]`` and all three Schur updates into a single GEMM
-  ``G G^T``, and evaluates ``log det`` in one batched pass over the
-  whole factor stack.  The Schur recurrence itself stays loop-carried —
-  block ``i+1`` cannot be factorized before block ``i`` — but every
-  per-step kernel goes through :mod:`repro.structured.batched`.
+Every per-step kernel goes through :mod:`repro.structured.batched`: each
+elimination step is one POTRF + TRTRI, with the TRSMs realized as GEMMs
+against the explicit triangular inverse; the arrow row is deferred into
+one GEMM substitution, and ``log det`` is one batched pass over the whole
+factor stack.  The Schur recurrence itself stays loop-carried — block
+``i+1`` cannot be factorized before block ``i``.  The flop count is that
+of the textbook per-block elimination (:mod:`repro.perfmodel.flops`); a
+per-block reference implementation lives with the tests, which check
+agreement to 1e-10.
 """
 
 from __future__ import annotations
@@ -35,17 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import Backend, backend_for
 from repro import faults
+from repro.errors import NotPositiveDefiniteError
 from repro.structured import batched as bk
 from repro.structured.bta import BTAMatrix
-from repro.structured.kernels import (
-    NotPositiveDefiniteError,
-    chol_lower,
-    logdet_from_chol_diag,
-    right_solve_lower_t,
-)
 
 
 class _FactorizationCounter:
@@ -150,20 +141,13 @@ class BTACholesky:
             )
         return self._arrow_flat
 
-    def logdet(self, *, batched: bool | None = None) -> float:
+    def logdet(self) -> float:
         """``log det A = 2 sum_i log diag(L)_i`` — the quantity INLA needs
         for every GMRF log-density evaluation (paper Eq. 1/3)."""
         be = self.get_backend()
-        if bk.batched_enabled(batched, be):
-            total = bk.batched_logdet_from_chol_diag(self.factor.diag, backend=be)
-            if self.a:
-                total += bk.batched_logdet_from_chol_diag(self.factor.tip, backend=be)
-            return total
-        total = 0.0
-        for i in range(self.n):
-            total += logdet_from_chol_diag(self.factor.diag[i])
+        total = bk.batched_logdet_from_chol_diag(self.factor.diag, backend=be)
         if self.a:
-            total += logdet_from_chol_diag(self.factor.tip)
+            total += bk.batched_logdet_from_chol_diag(self.factor.tip, backend=be)
         return total
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -194,33 +178,7 @@ class BTACholesky:
         return out
 
 
-def _pobtaf_blocked(L: BTAMatrix) -> None:
-    """Reference per-block elimination (in place) via the SciPy kernels."""
-    n, a = L.n, L.a
-    diag, lower, arrow, tip = L.diag, L.lower, L.arrow, L.tip
-
-    for i in range(n):
-        # Factorize the current (Schur-complemented) diagonal block.
-        diag[i] = chol_lower(diag[i])
-        li = diag[i]
-        if i + 1 < n:
-            # L[i+1, i] = A[i+1, i] L[i,i]^{-T}
-            lower[i] = right_solve_lower_t(li, lower[i])
-        if a:
-            # L[t, i] = A[t, i] L[i,i]^{-T}
-            arrow[i] = right_solve_lower_t(li, arrow[i])
-        # Schur-complement the trailing blocks touched by column i.
-        if i + 1 < n:
-            diag[i + 1] -= lower[i] @ lower[i].T
-            if a:
-                arrow[i + 1] -= arrow[i] @ lower[i].T
-        if a:
-            tip -= arrow[i] @ arrow[i].T
-    if a:
-        tip[...] = chol_lower(tip)
-
-
-def _pobtaf_batched(L: BTAMatrix) -> tuple[np.ndarray, np.ndarray | None]:
+def _eliminate(L: BTAMatrix) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched elimination (in place) via the batched kernel layer.
 
     The block-tridiagonal chain runs first: per step one POTRF + one TRTRI
@@ -272,9 +230,7 @@ def _pobtaf_batched(L: BTAMatrix) -> tuple[np.ndarray, np.ndarray | None]:
     return inv, arrow_flat
 
 
-def pobtaf(
-    A: BTAMatrix, *, overwrite: bool = False, batched: bool | None = None
-) -> BTACholesky:
+def pobtaf(A: BTAMatrix, *, overwrite: bool = False) -> BTACholesky:
     """Factorize a symmetric positive definite BTA matrix ``A = L L^T``.
 
     Parameters
@@ -285,9 +241,6 @@ def pobtaf(
         When True, ``A``'s storage is reused for the factor (the caller's
         matrix is destroyed).  This is the memory-lean mode used inside the
         INLA objective where ``Qp``/``Qc`` are rebuilt every evaluation.
-    batched:
-        Force the batched (True) or per-block reference (False) path;
-        None consults the ``REPRO_BATCHED`` environment switch.
 
     Raises
     ------
@@ -303,10 +256,5 @@ def pobtaf(
     )
     backend = backend_for(A.diag)
     L = A if overwrite else A.copy()
-    if batched_enabled(batched, backend):
-        inv, arrow_flat = _pobtaf_batched(L)
-        return BTACholesky(
-            factor=L, _diag_inv=inv, _arrow_flat=arrow_flat, backend=backend
-        )
-    _pobtaf_blocked(L)
-    return BTACholesky(factor=L, backend=backend)
+    inv, arrow_flat = _eliminate(L)
+    return BTACholesky(factor=L, _diag_inv=inv, _arrow_flat=arrow_flat, backend=backend)

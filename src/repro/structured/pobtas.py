@@ -14,8 +14,8 @@ through :mod:`repro.structured.multirhs`, which drives the *same* panel
 sweeps defined here, so the stacked and unstacked paths are bit-for-bit
 identical at ``k = 1``.
 
-On the batched path the per-block triangular solves become GEMMs against
-the cached stacked inverses ``L[i,i]^{-1}`` (see
+The per-block triangular solves are GEMMs against the cached stacked
+inverses ``L[i,i]^{-1}`` (see
 :meth:`repro.structured.pobtaf.BTACholesky.diag_inverses`), and the
 arrow-row eliminations — which touch only the tip entry — are hoisted out
 of the sweeps into single batched ``einsum``/GEMM updates over the whole
@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.structured import batched as bk
-from repro.structured.kernels import solve_lower, solve_lower_t
 from repro.structured.pobtaf import BTACholesky
 
 
@@ -47,29 +45,6 @@ def _prepare(chol: BTACholesky, rhs: np.ndarray, *, overwrite: bool = False):
     else:
         x = be.xp.array(rhs.reshape(N, -1), copy=True)
     return L, x, x[: n * b].reshape(n, b, -1), x[n * b :], squeeze
-
-
-def _pobtas_blocked(L, xb, xt, a: int, n: int) -> None:
-    """Reference per-block forward + backward sweeps (in place)."""
-    # ---- forward sweep: L z = rhs --------------------------------------
-    for i in range(n):
-        if i > 0:
-            xb[i] -= L.lower[i - 1] @ xb[i - 1]
-        xb[i] = solve_lower(L.diag[i], xb[i])
-        if a:
-            xt -= L.arrow[i] @ xb[i]
-    if a:
-        xt[...] = solve_lower(L.tip, xt)
-
-    # ---- backward sweep: L^T x = z --------------------------------------
-    if a:
-        xt[...] = solve_lower_t(L.tip, xt)
-    for i in range(n - 1, -1, -1):
-        if a:
-            xb[i] -= L.arrow[i].T @ xt
-        if i + 1 < n:
-            xb[i] -= L.lower[i].T @ xb[i + 1]
-        xb[i] = solve_lower_t(L.diag[i], xb[i])
 
 
 def backward_sweep_panels(chol: BTACholesky, xb, xt, a: int, n: int) -> None:
@@ -114,31 +89,16 @@ def forward_sweep_panels(chol: BTACholesky, xb, xt, a: int, n: int) -> None:
         xt[...] = bk.solve_lower_block(L.tip, xt, backend=chol.get_backend())
 
 
-def _pobtas_batched(chol: BTACholesky, xb, xt, a: int, n: int) -> None:
-    """Batched sweeps: one forward + one backward panel pass."""
-    forward_sweep_panels(chol, xb, xt, a, n)
-    backward_sweep_panels(chol, xb, xt, a, n)
-
-
-def pobtas(
-    chol: BTACholesky,
-    rhs: np.ndarray,
-    *,
-    overwrite: bool = False,
-    batched: bool | None = None,
-) -> np.ndarray:
-    """Solve ``A x = rhs`` using the BTA Cholesky factor ``chol``."""
+def pobtas(chol: BTACholesky, rhs: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """Solve ``A x = rhs`` using the BTA Cholesky factor ``chol``: one
+    forward + one backward panel pass."""
     L, x, xb, xt, squeeze = _prepare(chol, rhs, overwrite=overwrite)
-    if batched_enabled(batched, chol.get_backend()):
-        _pobtas_batched(chol, xb, xt, L.a, L.n)
-    else:
-        _pobtas_blocked(L, xb, xt, L.a, L.n)
+    forward_sweep_panels(chol, xb, xt, L.a, L.n)
+    backward_sweep_panels(chol, xb, xt, L.a, L.n)
     return x[:, 0] if squeeze else x
 
 
-def pobtas_lt(
-    chol: BTACholesky, rhs: np.ndarray, *, batched: bool | None = None
-) -> np.ndarray:
+def pobtas_lt(chol: BTACholesky, rhs: np.ndarray) -> np.ndarray:
     """Backward-only solve ``L^T x = rhs``.
 
     This is the GMRF sampling primitive: if ``z ~ N(0, I)`` then
@@ -146,16 +106,5 @@ def pobtas_lt(
     generators to draw exact samples from the model prior.
     """
     L, x, xb, xt, squeeze = _prepare(chol, rhs)
-    n, a = L.n, L.a
-    if batched_enabled(batched, chol.get_backend()):
-        backward_sweep_panels(chol, xb, xt, a, n)
-        return x[:, 0] if squeeze else x
-    if a:
-        xt[...] = solve_lower_t(L.tip, xt)
-    for i in range(n - 1, -1, -1):
-        if a:
-            xb[i] -= L.arrow[i].T @ xt
-        if i + 1 < n:
-            xb[i] -= L.lower[i].T @ xb[i + 1]
-        xb[i] = solve_lower_t(L.diag[i], xb[i])
+    backward_sweep_panels(chol, xb, xt, L.a, L.n)
     return x[:, 0] if squeeze else x

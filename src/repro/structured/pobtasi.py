@@ -21,70 +21,22 @@ which closes a backward recursion starting from the tip,
 ``O(n (b^3 + a b^2))`` — the same order as the factorization, matching the
 microbenchmark observation of paper Fig. 5.
 
-The recursion is loop-carried (column ``i`` needs ``X[i+1, i+1]``), but on
-the batched path every right-division by ``L[i, i]`` becomes a GEMM
-against the cached stacked inverses, so each step is pure batched-GEMM
-work — the kernel mix the paper runs on the GPU.
+The recursion is loop-carried (column ``i`` needs ``X[i+1, i+1]``), but
+every right-division by ``L[i, i]`` is a GEMM against the cached stacked
+inverses, so each step is pure batched-GEMM work — the kernel mix the
+paper runs on the GPU.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.structured import batched as bk
 from repro.structured.bta import BTAMatrix
-from repro.structured.kernels import (
-    right_solve_lower,
-    solve_lower_t,
-    tri_inverse_lower,
-)
 from repro.structured.pobtaf import BTACholesky
 
 
-def _pobtasi_blocked(chol: BTACholesky, X: BTAMatrix) -> None:
-    """Reference per-block backward recursion via the SciPy kernels."""
-    L = chol.factor
-    n, b, a = L.n, L.b, L.a
-
-    if a:
-        tip_inv = tri_inverse_lower(L.tip)
-        X.tip[...] = tip_inv.T @ tip_inv
-
-    # Backward recursion over block columns.
-    for i in range(n - 1, -1, -1):
-        li = L.diag[i]
-        has_next = i + 1 < n
-        lo = L.lower[i] if has_next else None
-        ar = L.arrow[i] if a else None
-
-        # Off-diagonal selected blocks of column i.
-        if has_next:
-            # X[i+1, i]
-            acc_next = X.diag[i + 1] @ lo
-            if a:
-                acc_next += X.arrow[i + 1].T @ ar
-            X.lower[i] = -right_solve_lower(li, acc_next)
-            if a:
-                # X[t, i]
-                acc_tip = X.arrow[i + 1] @ lo + X.tip @ ar
-                X.arrow[i] = -right_solve_lower(li, acc_tip)
-        elif a:
-            X.arrow[i] = -right_solve_lower(li, X.tip @ ar)
-
-        # Diagonal block.
-        acc_diag = solve_lower_t(li, np.eye(b))
-        if has_next:
-            acc_diag -= X.lower[i].T @ lo
-        if a:
-            acc_diag -= X.arrow[i].T @ ar
-        X.diag[i] = right_solve_lower(li, acc_diag)
-        # Enforce exact symmetry (the recursion is symmetric only in exact
-        # arithmetic; downstream variance extraction expects symmetry).
-        X.diag[i] = 0.5 * (X.diag[i] + X.diag[i].T)
-
-
-def _pobtasi_batched(chol: BTACholesky, X: BTAMatrix, xb=None, xt=None) -> None:
+def _selinv(chol: BTACholesky, X: BTAMatrix, xb=None, xt=None) -> None:
     """Backward recursion where every right-division is a GEMM against the
     cached ``L[i,i]^{-1}`` stack (see ``BTACholesky.diag_inverses``).
 
@@ -138,14 +90,14 @@ def _pobtasi_batched(chol: BTACholesky, X: BTAMatrix, xb=None, xt=None) -> None:
         X.diag[i] = bk.symmetrize(acc_diag @ inv_i)
 
 
-def _pobtasi_batched_diag(chol: BTACholesky, xb=None, xt=None) -> np.ndarray:
+def _selinv_diag(chol: BTACholesky, xb=None, xt=None) -> np.ndarray:
     """Diagonal-only Takahashi recursion (carry-based, no ``X`` stacks).
 
     Every production consumer of the selected inverse — marginal
     variances, exceedance probabilities, the fused mean+variance pass —
     reads only ``diag(A^{-1})``; the full block pattern is needed for
     validation only.  This variant runs the *same* per-step operations as
-    :func:`_pobtasi_batched` (same expressions, same order — the
+    :func:`_selinv` (same expressions, same order — the
     returned diagonal is bit-identical) but keeps the ``X[i+1, i+1]`` /
     ``X[t, i+1]`` blocks as loop carries instead of materializing the
     full ``O(n b^2)`` inverse: no block-stack allocation, and the working
@@ -153,7 +105,7 @@ def _pobtasi_batched_diag(chol: BTACholesky, xb=None, xt=None) -> np.ndarray:
     (:func:`repro.perfmodel.flops.bta_selected_inversion_flops`).
 
     Optional ``xb``/``xt`` fuse the backward substitution of a solve
-    into the recursion, exactly like :func:`_pobtasi_batched`.
+    into the recursion, exactly like :func:`_selinv`.
     """
     L = chol.factor
     n, b, a = L.n, L.b, L.a
@@ -208,23 +160,18 @@ def _pobtasi_batched_diag(chol: BTACholesky, xb=None, xt=None) -> np.ndarray:
     return out
 
 
-def pobtasi(chol: BTACholesky, *, batched: bool | None = None) -> BTAMatrix:
+def pobtasi(chol: BTACholesky) -> BTAMatrix:
     """Selected inverse of the BTA matrix factorized in ``chol``.
 
     Returns a :class:`BTAMatrix` whose blocks hold the corresponding blocks
     of ``A^{-1}`` (symmetric; lower-triangle layout like the input).
     """
     X = BTAMatrix.zeros(chol.factor.shape3, backend=chol.get_backend())
-    if batched_enabled(batched, chol.get_backend()):
-        _pobtasi_batched(chol, X)
-    else:
-        _pobtasi_blocked(chol, X)
+    _selinv(chol, X)
     return X
 
 
-def pobtasi_with_solve(
-    chol: BTACholesky, rhs: np.ndarray, *, batched: bool | None = None
-) -> tuple:
+def pobtasi_with_solve(chol: BTACholesky, rhs: np.ndarray) -> tuple:
     """Selected inverse *and* ``A^{-1} rhs`` from one factor, fused.
 
     The INLA marginals need both the conditional means (a solve) and the
@@ -238,62 +185,40 @@ def pobtasi_with_solve(
     :mod:`repro.structured.multirhs` and transpose).
 
     Returns ``(X, x)`` — the selected inverse and the solution in the
-    layout of ``rhs``.  The reference path (``batched=False``) runs the
-    two per-block passes separately; agreement is regression-tested to
-    1e-10.
+    layout of ``rhs``.
     """
     from repro.structured.pobtas import _prepare, forward_sweep_panels
-
-    if not batched_enabled(batched, chol.get_backend()):
-        from repro.structured.pobtas import pobtas
-
-        return pobtasi(chol, batched=False), pobtas(chol, rhs, batched=False)
 
     L = chol.factor
     _, x, xb, xt, squeeze = _prepare(chol, rhs)
     forward_sweep_panels(chol, xb, xt, L.a, L.n)
     X = BTAMatrix.zeros(chol.factor.shape3, backend=chol.get_backend())
-    _pobtasi_batched(chol, X, xb=xb, xt=xt)
+    _selinv(chol, X, xb=xb, xt=xt)
     return X, (x[:, 0] if squeeze else x)
 
 
-def selected_inverse_diagonal(chol: BTACholesky, *, batched: bool | None = None) -> np.ndarray:
+def selected_inverse_diagonal(chol: BTACholesky) -> np.ndarray:
     """Scalar diagonal of ``A^{-1}`` (the posterior marginal variances).
 
-    On the batched path this runs the carry-based diagonal-only recursion
-    (:func:`_pobtasi_batched_diag`) — bit-identical values to
-    ``pobtasi(chol).diagonal()`` without materializing the full selected
-    inverse.  The reference path keeps the full per-block recursion as
-    ground truth.
+    Runs the carry-based diagonal-only recursion (:func:`_selinv_diag`) —
+    bit-identical values to ``pobtasi(chol).diagonal()`` without
+    materializing the full selected inverse.
     """
-    if batched_enabled(batched, chol.get_backend()):
-        return _pobtasi_batched_diag(chol)
-    return pobtasi(chol, batched=False).diagonal()
+    return _selinv_diag(chol)
 
 
-def solve_and_selected_inverse_diagonal(
-    chol: BTACholesky, rhs: np.ndarray, *, batched: bool | None = None
-) -> tuple:
+def solve_and_selected_inverse_diagonal(chol: BTACholesky, rhs: np.ndarray) -> tuple:
     """``(x, var)`` — conditional mean and marginal variances, fused.
 
     The INLA marginals' hot pair, via the diagonal-only Takahashi
     recursion with the solve's backward substitution riding the same
     loop (the carry-based analogue of :func:`pobtasi_with_solve`).
-    ``rhs`` may be a vector ``(N,)`` or columns ``(N, k)``.  The
-    reference path runs the two per-block passes separately.
+    ``rhs`` may be a vector ``(N,)`` or columns ``(N, k)``.
     """
     from repro.structured.pobtas import _prepare, forward_sweep_panels
-
-    if not batched_enabled(batched, chol.get_backend()):
-        from repro.structured.pobtas import pobtas
-
-        return (
-            pobtas(chol, rhs, batched=False),
-            pobtasi(chol, batched=False).diagonal(),
-        )
 
     L = chol.factor
     _, x, xb, xt, squeeze = _prepare(chol, rhs)
     forward_sweep_panels(chol, xb, xt, L.a, L.n)
-    var = _pobtasi_batched_diag(chol, xb=xb, xt=xt)
+    var = _selinv_diag(chol, xb=xb, xt=xt)
     return (x[:, 0] if squeeze else x), var

@@ -18,24 +18,21 @@ backward/selected-inverse sweeps start from it), but the system is tiny
 compared to the partitions, so the historical scheme — every rank runs
 its own ``pobtaf`` on its own assembled copy — wastes ``P - 1``
 factorizations per epoch and only looked free because ranks were
-simulated threads.  :func:`factorize_reduced` replaces it: in ``shared``
-mode (the default) rank 0 factorizes ONCE and broadcasts the factor's
-block stacks; under the thread backend the broadcast is a zero-copy
-reference hand-off, under the process/MPI backends it is one small
-message instead of ``P`` redundant sweeps.  Both modes give bit-identical
-factor stacks — every rank assembled the same reduced matrix from the
-same ordered contributions, and ``pobtaf`` is deterministic — so ``redundant``
-(``REPRO_REDUCED=redundant``) remains available as an A/B reference.
+simulated threads.  :func:`factorize_reduced` replaces it: rank 0
+factorizes ONCE and broadcasts the factor's block stacks; under the
+thread backend the broadcast is a zero-copy reference hand-off, under the
+process/MPI backends it is one small message instead of ``P`` redundant
+sweeps.  The broadcast factor is bit-identical to the one any rank would
+compute itself — every rank assembled the same reduced matrix from the
+same ordered contributions, and ``pobtaf`` is deterministic.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.array_module import batched_enabled
 from repro.comm.communicator import Communicator
 from repro.structured.bta import BTAMatrix
 from repro.structured.partition import Partition
@@ -136,27 +133,11 @@ class ReducedSystem:
         return cls(matrix=BTAMatrix(diag, lower, arrow, tip), positions=positions)
 
 
-def reduced_mode(override: str | None = None) -> str:
-    """Factorization scheme for the reduced system: ``shared`` (rank 0
-    factorizes once and broadcasts) or ``redundant`` (every rank runs its
-    own sweep, the legacy behavior).  ``REPRO_REDUCED`` sets the default."""
-    mode = override if override is not None else (os.environ.get("REPRO_REDUCED", "") or "shared")
-    if mode not in ("shared", "redundant"):
-        raise ValueError(f"unknown reduced-system mode {mode!r} (shared|redundant)")
-    return mode
-
-
-def factorize_reduced(
-    reduced: ReducedSystem,
-    comm: Communicator,
-    *,
-    batched: bool | None = None,
-    mode: str | None = None,
-):
+def factorize_reduced(reduced: ReducedSystem, comm: Communicator):
     """Factorize the reduced system once per *epoch*, not once per rank.
 
-    Collective over ``comm``.  In ``shared`` mode rank 0 factorizes its
-    assembled copy in place and broadcasts the factor's block stacks
+    Collective over ``comm``.  Rank 0 factorizes its assembled copy in
+    place and broadcasts the factor's block stacks
     (``diag``/``lower``/``arrow``/``tip``); every rank, rank 0 included,
     then wraps the stacks in a fresh
     :class:`~repro.structured.pobtaf.BTACholesky`.  Rank 0 drops the
@@ -169,12 +150,10 @@ def factorize_reduced(
     """
     from repro.structured.pobtaf import BTACholesky, pobtaf
 
-    use_batched = batched_enabled(batched)
-    scheme = reduced_mode(mode)
-    if scheme == "redundant" or comm.Get_size() == 1:
-        return pobtaf(reduced.matrix, overwrite=True, batched=use_batched)
+    if comm.Get_size() == 1:
+        return pobtaf(reduced.matrix, overwrite=True)
     if comm.Get_rank() == 0:
-        f = pobtaf(reduced.matrix, overwrite=True, batched=use_batched).factor
+        f = pobtaf(reduced.matrix, overwrite=True).factor
         comm.bcast((f.diag, f.lower, f.arrow, f.tip), root=0)
         return BTACholesky(f)
     diag, lower, arrow, tip = comm.bcast(None, root=0)

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 from repro.baselines import INLADistEngine, RINLAEngine, SparseCholesky
 from repro.baselines.rinla import evaluate_fobj_sparse
 from repro.baselines.sparse_solver import sparse_selected_inverse_diagonal
+from repro.errors import NotPositiveDefiniteError
 from repro.inla import DALIA, evaluate_fobj
 from repro.inla.bfgs import BFGSOptions
-from repro.structured.kernels import NotPositiveDefiniteError
 
 
 def _spd_sparse(rng, n):

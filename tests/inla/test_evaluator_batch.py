@@ -6,10 +6,6 @@ stencil's ``2 (2 d + 1)`` factorization sweeps into 2, fall back to the
 per-point path for infeasible batches, and never bypass subclassed
 engines.  The LRU must serve revisited thetas with zero assemblies and
 zero sweeps — the BFGS line-search / gradient-center pattern.
-
-These tests run under both ``REPRO_BATCHED`` settings in CI (the batch
-path is forced explicitly, the per-point reference follows the
-environment), which is the dual-path contract of the ISSUE.
 """
 
 import numpy as np
@@ -17,7 +13,7 @@ import pytest
 
 from repro.inla.evaluator import FobjEvaluator
 from repro.inla.smart_gradient import SmartGradient
-from repro.inla.solvers import DistributedSolver, SequentialSolver
+from repro.inla.solvers import DistributedSolver
 from repro.structured.pobtaf import FACTORIZATIONS
 
 
@@ -38,11 +34,9 @@ def _evaluators(model, **kwargs):
 class TestBatchedStencilValues:
     def test_gradient_stencil_identical(self, uni_model):
         """Batched vs per-theta stencil values (the 1e-10 / bit-identity
-        acceptance gate; exact on the default path since both run the
-        same kernels per slab).  The *gradient* tolerance is the value
-        agreement amplified by the central difference's 1/(2h): under
-        REPRO_BATCHED=0 the per-point reference runs the per-block
-        kernels, so values differ at ~1e-13 and gradients at ~1e-13/2h."""
+        acceptance gate; exact in practice since both run the same
+        kernels per slab).  The *gradient* tolerance is the value
+        agreement amplified by the central difference's 1/(2h)."""
         h = 1e-4
         model, gt = uni_model
         ev_b, ev_p = _evaluators(model)
@@ -88,7 +82,7 @@ class TestBatchedStencilValues:
         """A non-positive-definite stack cannot name the failing theta;
         the evaluator must resolve the batch on the per-point path."""
         import repro.inla.evaluator as ev_mod
-        from repro.structured.kernels import NotPositiveDefiniteError
+        from repro.errors import NotPositiveDefiniteError
 
         model, gt = uni_model
 
@@ -144,11 +138,6 @@ class TestSweepAccounting:
                 raise AssertionError
 
         assert not Custom(model)._batch_capable()
-
-    def test_pinned_per_block_solver_keeps_per_point_path(self, uni_model):
-        model, _ = uni_model
-        ev = FobjEvaluator(model, solver=SequentialSolver(batched=False))
-        assert not ev._batch_capable()
 
 
 class TestThetaKeyedLRU:

@@ -2,7 +2,7 @@
 
 Acceptance coverage for the theta-lockstep inner loops
 (:func:`repro.inla.nongaussian.evaluate_fobj_nongaussian_batch`), run
-across the ``REPRO_BATCHED`` x ``REPRO_BACKEND`` grid:
+on every ``REPRO_BACKEND``:
 
 - the batch path at ``t = 1`` is BIT-IDENTICAL to the serial path, and
   1e-10-close over a full ``2d + 1`` gradient stencil;
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.errors import NotPositiveDefiniteError
 from repro.inla import evaluate_fobj
 from repro.inla.evaluator import NonGaussianFobjEvaluator
 from repro.inla.nongaussian import (
@@ -29,26 +30,17 @@ from repro.inla.nongaussian import (
     gaussian_approximation,
     gaussian_approximation_batch,
 )
-from repro.structured.kernels import NotPositiveDefiniteError
 
 DECOMP = ("value", "log_prior_theta", "log_likelihood", "logdet_qp", "logdet_qc", "quad_qp")
 
-#: (backend, batched) cells of the execution grid (satellite: run the
-#: non-Gaussian suite under every combination).
-GRID = [
-    ("numpy", "1"),
-    ("numpy", "0"),
-    ("mock_device", "1"),
-    ("mock_device", "0"),
-]
+#: Backends of the execution grid (run the non-Gaussian suite on each).
+GRID = ["numpy", "mock_device"]
 
 
-@pytest.fixture(params=GRID, ids=lambda p: f"{p[0]}-batched{p[1]}")
+@pytest.fixture(params=GRID)
 def env_cell(request, monkeypatch):
-    backend, batched = request.param
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    monkeypatch.setenv("REPRO_BATCHED", batched)
-    return backend, batched
+    monkeypatch.setenv("REPRO_BACKEND", request.param)
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +72,7 @@ class TestLockstepMatchesSerial:
         path stays on host LAPACK; those round differently by design
         (see tests/structured/test_backend_matrix.py), so the contract
         there is 1e-10 agreement."""
-        backend, _ = env_cell
+        backend = env_cell
         model, gt, lik = poisson_case
         (rb,) = evaluate_fobj_nongaussian_batch(model, gt.theta[None, :], lik)
         rs = evaluate_fobj_nongaussian(model, gt.theta, lik)

@@ -72,12 +72,6 @@ class TestScenarioGrid:
         results = evaluate_scenario_grid(grid_cells)
         _assert_matches_serial(results, grid_cells, exact=True)
 
-    def test_serial_env_path_matches(self, grid_cells, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        results = evaluate_scenario_grid(grid_cells)
-        _assert_matches_serial(results, grid_cells, exact=True)
-
     def test_mock_device_close(self, grid_cells, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "mock_device")
         results = evaluate_scenario_grid(grid_cells)
@@ -116,13 +110,9 @@ class TestDaliaIntegration:
         return engine, result
 
     def test_fit_runs_on_batched_engine(self, fitted):
-        from repro.backend.array_module import batched_enabled
-        from repro.backend.protocol import get_backend
-
         engine, result = fitted
         assert np.isfinite(result.fobj_mode)
-        if batched_enabled(None, get_backend()):
-            assert engine.evaluator.n_batch_sweeps >= 1
+        assert engine.evaluator.n_batch_sweeps >= 1
         assert np.all(np.isfinite(result.latent.mean))
 
     def test_posterior_mode_reuse_and_cold_rebuild(self, fitted, grid_cells):

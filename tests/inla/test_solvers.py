@@ -148,8 +148,3 @@ class TestSelectSolverFactors:
         assert isinstance(select_solver(shape, device=dev, factors=1), SequentialSolver)
         s = select_solver(shape, device=dev, factors=2)
         assert isinstance(s, DistributedSolver)
-
-    def test_batched_flag_threaded(self):
-        s = select_solver(BTAShape(n=10, b=4, a=2), batched=False)
-        assert isinstance(s, SequentialSolver)
-        assert s.batched is False

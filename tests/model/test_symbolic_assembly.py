@@ -3,11 +3,10 @@
 Contracts under test:
 
 - the plan's values agree with the historical scipy-sparse assembly
-  (``assemble_reference``) to 1e-10 relative — the independent
+  (``tests.oracle.assembly.assemble_reference``) to 1e-10 relative — the independent
   cross-check of the term/coefficient decomposition,
 - ``assemble_batch`` is bit-identical to looped ``assemble`` at every
-  theta (shared numeric core; runs under both ``REPRO_BATCHED``
-  settings in CI),
+  theta (shared numeric core),
 - every feasible theta's assembled pattern is a subset of the reference
   pattern (property test), with a clear error for escapes,
 - infeasible thetas are screened by the coefficient check, matching the
@@ -24,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.model.assembler import AssemblyWorkspace
 from repro.model.datasets import make_dataset
+from tests.oracle.assembly import assemble_reference
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestPlanMatchesSparseReference:
         model, gt, _ = models[name]
         for dt in (0.0, 0.15, -0.25):
             new = model.assemble(gt.theta + dt)
-            ref = model.assemble_reference(gt.theta + dt)
+            ref = assemble_reference(model, gt.theta + dt)
             for attr in ("diag", "lower", "arrow", "tip"):
                 assert _rel_err(getattr(new.qp, attr), getattr(ref.qp, attr)) < 1e-10
                 assert _rel_err(getattr(new.qc, attr), getattr(ref.qc, attr)) < 1e-10

@@ -17,7 +17,6 @@ class TestAssemblyCounts:
 
     def test_strategy_keywords_do_not_change_counts(self):
         base = bta_assembly_flops(2, 8, 100, 900, 400, 300)
-        assert bta_assembly_flops(2, 8, 100, 900, 400, 300, batched=True) == base
         assert bta_assembly_flops(2, 8, 100, 900, 400, 300, stacked=True) == base
 
     def test_plan_reports_its_own_shape(self):

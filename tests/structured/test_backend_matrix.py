@@ -73,8 +73,7 @@ class TestFactorGrid:
         rhs = rng.standard_normal(A.N)
         host = factorize(A.copy())
         dev = factorize(_on_backend(A, MOCK_DEVICE_BACKEND))
-        # Same diagonal logs; bit-identical on the default path, 1-ulp
-        # apart when the host reference kernels run (REPRO_BATCHED=0).
+        # Same diagonal logs: bit-identical in practice, 1-ulp tolerance.
         np.testing.assert_allclose(dev.logdet(), host.logdet(), rtol=1e-13)
         np.testing.assert_allclose(
             MOCK_DEVICE_BACKEND.to_host(dev.solve(rhs)), host.solve(rhs), rtol=1e-12
@@ -230,7 +229,6 @@ class TestCeilingLift:
 
         model, _, _ = tiny_uni_model
         ev = FobjEvaluator(model)  # auto mode
-        monkeypatch.setenv("REPRO_BATCHED", "1")
         monkeypatch.setenv("REPRO_BATCH_STENCIL_MAX_B", "1")  # below any real b
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert not ev._use_batch(4)  # host path obeys the ceiling

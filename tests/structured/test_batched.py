@@ -1,40 +1,46 @@
-"""Batched kernel layer vs. the per-block reference path.
+"""Batched kernel layer vs. the per-block oracle (``tests/oracle``).
 
-The batched path must be a drop-in replacement: for every solver and every
-BTA shape — including the degenerate ``n = 1`` and ``a = 0`` cases — both
-paths must agree to 1e-10 on the factor, the solution, the selected
-inverse, and ``log det``, and must raise the same
-``NotPositiveDefiniteError`` on non-SPD input.
+The production solvers must agree with the per-block reference for every
+BTA shape — including the degenerate ``n = 1`` and ``a = 0`` cases — to
+1e-10 on the factor, the solution, the selected inverse, and ``log det``,
+and must raise the same ``NotPositiveDefiniteError`` on non-SPD input.
+At the application's block shape (``b = 330``, ``a = 15``) they must
+also agree with the dense ``np.linalg`` oracle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend.array_module import batched_enabled
 from repro.comm import run_spmd
+from repro.errors import NotPositiveDefiniteError
 from repro.structured import batched as bk
 from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
 from repro.structured.d_pobtas import d_pobtas
 from repro.structured.d_pobtasi import d_pobtasi, gather_selected_inverse
-from repro.structured.kernels import (
-    NotPositiveDefiniteError,
+from repro.structured.pobtaf import pobtaf
+from repro.structured.pobtas import pobtas, pobtas_lt
+from repro.structured.pobtasi import pobtasi
+from tests import oracle
+from tests.oracle import dense
+from tests.oracle.kernels import (
     chol_lower,
     logdet_from_chol_diag,
     solve_lower,
     solve_lower_t,
     tri_inverse_lower,
 )
-from repro.structured.pobtaf import pobtaf
-from repro.structured.pobtas import pobtas, pobtas_lt
-from repro.structured.pobtasi import pobtasi
 
 ATOL = 1e-10
 
 # Shapes chosen to hit the degenerate corners: single block, no arrowhead,
 # arrow wider than the blocks, scalar blocks.
 SHAPES = [(4, 3, 2), (1, 5, 3), (1, 4, 0), (7, 2, 0), (3, 1, 1), (2, 4, 6), (6, 4, 3)]
+
+#: The production factorization and its per-block oracle (same contract).
+FACTORIZERS = [pobtaf, oracle.pobtaf]
+FACTORIZER_IDS = ["batched", "oracle"]
 
 
 def _case(n, b, a, seed=0):
@@ -51,7 +57,7 @@ def _chol_stack(n, b, seed=0):
 
 
 class TestPrimitives:
-    """Stacked primitives against the looped per-block kernels."""
+    """Stacked primitives against the looped per-block oracle kernels."""
 
     def test_batched_cholesky_matches_per_block(self):
         L, _ = _chol_stack(6, 5)
@@ -76,15 +82,6 @@ class TestPrimitives:
         for i in range(5):
             assert np.allclose(fwd[i], solve_lower(L[i], rhs[i]), atol=ATOL)
             assert np.allclose(bwd[i], solve_lower_t(L[i], rhs[i]), atol=ATOL)
-
-    def test_right_solves_match_definitions(self):
-        L, rng = _chol_stack(3, 4)
-        rhs = rng.standard_normal((3, 2, 4))
-        right = bk.batched_right_solve_lower(L, rhs)
-        right_t = bk.batched_right_solve_lower_t(L, rhs)
-        for i in range(3):
-            assert np.allclose(right[i] @ L[i], rhs[i], atol=ATOL)
-            assert np.allclose(right_t[i] @ L[i].T, rhs[i], atol=ATOL)
 
     def test_substitution_fallback_matches_lapack_path(self):
         """The vectorized-substitution fallback (the CuPy-shaped code path)
@@ -145,41 +142,35 @@ class TestSequentialAgreement:
     @pytest.mark.parametrize("n,b,a", SHAPES)
     def test_factorization_agrees(self, n, b, a):
         A, _ = _case(n, b, a)
-        Lb = pobtaf(A, batched=True)
-        Lr = pobtaf(A, batched=False)
+        Lb = pobtaf(A)
+        Lr = oracle.pobtaf(A)
         assert np.allclose(Lb.to_dense(), Lr.to_dense(), atol=ATOL)
-        assert np.isclose(
-            Lb.logdet(batched=True), Lr.logdet(batched=False), atol=ATOL
-        )
+        assert np.isclose(Lb.logdet(), oracle.logdet(Lr), atol=ATOL)
 
     @pytest.mark.parametrize("n,b,a", SHAPES)
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_solve_agrees(self, n, b, a, k):
         A, rng = _case(n, b, a, seed=1)
         rhs = rng.standard_normal((A.N, k) if k else A.N)
-        chol = pobtaf(A, batched=True)
-        xb = pobtas(chol, rhs, batched=True)
-        xr = pobtas(chol, rhs, batched=False)
+        chol = pobtaf(A)
+        xb = pobtas(chol, rhs)
+        xr = oracle.pobtas(chol, rhs)
         assert xb.shape == xr.shape
         assert np.allclose(xb, xr, atol=ATOL)
 
     @pytest.mark.parametrize("n,b,a", SHAPES)
     def test_backward_only_solve_agrees(self, n, b, a):
         A, rng = _case(n, b, a, seed=2)
-        chol = pobtaf(A, batched=True)
+        chol = pobtaf(A)
         z = rng.standard_normal(A.N)
-        assert np.allclose(
-            pobtas_lt(chol, z, batched=True),
-            pobtas_lt(chol, z, batched=False),
-            atol=ATOL,
-        )
+        assert np.allclose(pobtas_lt(chol, z), oracle.pobtas_lt(chol, z), atol=ATOL)
 
     @pytest.mark.parametrize("n,b,a", SHAPES)
     def test_selected_inversion_agrees(self, n, b, a):
         A, _ = _case(n, b, a, seed=3)
-        chol = pobtaf(A, batched=True)
-        Xb = pobtasi(chol, batched=True)
-        Xr = pobtasi(chol, batched=False)
+        chol = pobtaf(A)
+        Xb = pobtasi(chol)
+        Xr = oracle.pobtasi(chol)
         assert np.allclose(Xb.diag, Xr.diag, atol=ATOL)
         assert np.allclose(Xb.lower, Xr.lower, atol=ATOL)
         assert np.allclose(Xb.arrow, Xr.arrow, atol=ATOL)
@@ -193,43 +184,67 @@ class TestSequentialAgreement:
         seed=st.integers(0, 2**31 - 1),
     )
     def test_property_paths_agree(self, n, b, a, seed):
-        """For any SPD BTA shape, the two paths agree end to end."""
+        """For any SPD BTA shape, production and oracle agree end to end."""
         A, rng = _case(n, b, a, seed)
         rhs = rng.standard_normal(A.N)
-        cb, cr = pobtaf(A, batched=True), pobtaf(A, batched=False)
+        cb, cr = pobtaf(A), oracle.pobtaf(A)
         assert np.allclose(cb.to_dense(), cr.to_dense(), atol=ATOL)
-        assert np.isclose(cb.logdet(batched=True), cr.logdet(batched=False), atol=ATOL)
-        assert np.allclose(
-            pobtas(cb, rhs, batched=True), pobtas(cr, rhs, batched=False), atol=ATOL
-        )
-        assert np.allclose(
-            pobtasi(cb, batched=True).diagonal(),
-            pobtasi(cr, batched=False).diagonal(),
-            atol=ATOL,
-        )
+        assert np.isclose(cb.logdet(), oracle.logdet(cr), atol=ATOL)
+        assert np.allclose(pobtas(cb, rhs), oracle.pobtas(cr, rhs), atol=ATOL)
+        assert np.allclose(pobtasi(cb).diagonal(), oracle.pobtasi(cr).diagonal(), atol=ATOL)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_not_spd_raises_in_both_paths(self, batched):
+    @pytest.mark.parametrize("factorize", FACTORIZERS, ids=FACTORIZER_IDS)
+    def test_not_spd_raises_in_both_paths(self, factorize):
         A = BTAMatrix(np.stack([-np.eye(3)] * 2))
         with pytest.raises(NotPositiveDefiniteError):
-            pobtaf(A, batched=batched)
+            factorize(A)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_schur_failure_raises_in_both_paths(self, batched):
+    @pytest.mark.parametrize("factorize", FACTORIZERS, ids=FACTORIZER_IDS)
+    def test_schur_failure_raises_in_both_paths(self, factorize):
         # SPD diagonal blocks but indefinite overall matrix.
         diag = np.stack([np.eye(2), np.eye(2)])
         lower = np.array([[[5.0, 0.0], [0.0, 5.0]]])
         A = BTAMatrix(diag, lower)
         with pytest.raises(NotPositiveDefiniteError):
-            pobtaf(A, batched=batched)
+            factorize(A)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_indefinite_tip_raises_in_both_paths(self, batched):
+    @pytest.mark.parametrize("factorize", FACTORIZERS, ids=FACTORIZER_IDS)
+    def test_indefinite_tip_raises_in_both_paths(self, factorize):
         """The arrowhead tip Schur complement can fail on its own."""
         A, _ = _case(3, 2, 2, seed=5)
         A.tip[...] = -np.eye(2) * 100.0
         with pytest.raises(NotPositiveDefiniteError):
-            pobtaf(A, batched=batched)
+            factorize(A)
+
+
+class TestApplicationShape:
+    """The fig8 block shape (``b = 330``, ``a = 15``) at a small ``n``:
+    production agrees with the per-block and the dense oracle to 1e-10."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        A, rng = _case(3, 330, 15, seed=8)
+        return A, rng.standard_normal(A.N), pobtaf(A), oracle.pobtaf(A)
+
+    def test_factorization_and_logdet(self, case):
+        A, _, chol, ref = case
+        assert np.allclose(chol.to_dense(), ref.to_dense(), atol=ATOL)
+        assert np.allclose(chol.to_dense(), dense.cholesky(A), atol=ATOL)
+        ld = chol.logdet()
+        for ld_ref in (oracle.logdet(ref), dense.slogdet(A)):
+            assert abs(ld - ld_ref) <= ATOL * max(1.0, abs(ld_ref))
+
+    def test_solve(self, case):
+        A, rhs, chol, ref = case
+        x = pobtas(chol, rhs)
+        assert np.max(np.abs(x - oracle.pobtas(ref, rhs))) < ATOL
+        assert np.max(np.abs(x - dense.solve(A, rhs))) < ATOL
+
+    def test_selected_inversion(self, case):
+        A, _, chol, ref = case
+        X = pobtasi(chol).to_dense()
+        assert np.max(np.abs(X - oracle.pobtasi(ref).to_dense())) < ATOL
+        assert np.max(np.abs(X - dense.selected_inverse(A))) < ATOL
 
 
 class TestDistributedAgreement:
@@ -238,85 +253,36 @@ class TestDistributedAgreement:
     def test_pipeline_agrees(self, P, n, b, a):
         A, rng = _case(n, b, a, seed=P)
         rhs = rng.standard_normal(A.N)
+        slices = partition_matrix(A, P, lb=1.4)
 
-        def pipeline(batched):
-            slices = partition_matrix(A, P, lb=1.4)
+        def rank_fn(comm):
+            sl = slices[comm.Get_rank()]
+            f = d_pobtaf(sl, comm)
+            fr = oracle.d_pobtaf(sl, comm)
+            rhs_local, rhs_tip = rhs[sl.part.start * b : sl.part.stop * b], rhs[n * b :]
+            return (
+                (f.logdet(comm), *d_pobtas(f, rhs_local, rhs_tip, comm), d_pobtasi(f)),
+                (oracle.d_logdet(fr, comm), *oracle.d_pobtas(fr, rhs_local, rhs_tip, comm)),
+            )
 
-            def rank_fn(comm):
-                sl = slices[comm.Get_rank()]
-                f = d_pobtaf(sl, comm, batched=batched)
-                ld = f.logdet(comm, batched=batched)
-                xl, xt = d_pobtas(
-                    f,
-                    rhs[sl.part.start * b : sl.part.stop * b],
-                    rhs[n * b :],
-                    comm,
-                    batched=batched,
-                )
-                return ld, xl, xt, d_pobtasi(f, batched=batched)
-
-            return run_spmd(P, rank_fn)
-
-        outb, outr = pipeline(True), pipeline(False)
+        out = run_spmd(P, rank_fn)
+        outb, outr = [o[0] for o in out], [o[1] for o in out]
         assert np.isclose(outb[0][0], outr[0][0], atol=ATOL)
         xb = np.concatenate([o[1] for o in outb] + [outb[0][2]])
         xr = np.concatenate([o[1] for o in outr] + [outr[0][2]])
         assert np.allclose(xb, xr, atol=ATOL)
+        # The distributed selected inverse against the per-block sequential
+        # Takahashi recursion (same entries of A^{-1}).
         assert np.allclose(
             gather_selected_inverse([o[3] for o in outb]),
-            gather_selected_inverse([o[3] for o in outr]),
+            oracle.pobtasi(oracle.pobtaf(A)).to_dense(),
             atol=ATOL,
         )
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_distributed_not_spd_raises(self, batched):
+    @pytest.mark.parametrize("factorize", [d_pobtaf, oracle.d_pobtaf], ids=FACTORIZER_IDS)
+    def test_distributed_not_spd_raises(self, factorize):
         A, _ = _case(8, 2, 1, seed=7)
         A.diag[5] = -np.eye(2) * 1000.0
         slices = partition_matrix(A, 2)
         with pytest.raises(RuntimeError):
-            run_spmd(2, lambda comm: d_pobtaf(slices[comm.Get_rank()], comm, batched=batched))
-
-
-class TestSwitch:
-    def test_env_parsing(self, monkeypatch):
-        for val, expect in [
-            ("1", True),
-            ("0", False),
-            ("false", False),
-            ("off", False),
-            ("no", False),
-            ("true", True),
-            ("ON", True),
-        ]:
-            monkeypatch.setenv("REPRO_BATCHED", val)
-            assert batched_enabled() is expect, val
-        monkeypatch.delenv("REPRO_BATCHED")
-        assert batched_enabled() is True  # default on
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert batched_enabled(True) is True
-        monkeypatch.setenv("REPRO_BATCHED", "1")
-        assert batched_enabled(False) is False
-
-    def test_env_switch_routes_pobtaf(self, monkeypatch):
-        """REPRO_BATCHED=0 must actually dispatch to the per-block path."""
-        import importlib
-
-        # ``repro.structured`` re-exports the ``pobtaf`` *function*, which
-        # shadows the submodule on attribute lookup.
-        mod = importlib.import_module("repro.structured.pobtaf")
-
-        calls = []
-        monkeypatch.setattr(
-            mod,
-            "_pobtaf_batched",
-            lambda L: calls.append("batched") or (mod._pobtaf_blocked(L), None),
-        )
-        A, _ = _case(3, 2, 1)
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        pobtaf(A)
-        assert calls == []
-        monkeypatch.setenv("REPRO_BATCHED", "1")
-        pobtaf(A)
-        assert calls == ["batched"]
+            run_spmd(2, lambda comm: factorize(slices[comm.Get_rank()], comm))

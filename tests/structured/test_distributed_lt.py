@@ -16,37 +16,46 @@ from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
 from repro.structured.d_pobtas import d_pobtas_lt
 from repro.structured.multirhs import d_pobtas_lt_stack
+from tests import oracle
 
 
-def _solve_lt(A, P, stack, *, batched=None, lb=1.6):
-    """Columns of ``stack`` (k, N) through d_pobtas_lt_stack on P ranks."""
+def _oracle_lt_stack(f, stack_local, stack_tip, comm):
+    xl, xt = oracle.d_pobtas_lt(f, stack_local.T, stack_tip.T, comm)
+    return xl.T, xt.T
+
+
+#: impl -> (factorization, row-major stacked L^T solve)
+IMPLS = {
+    "batched": (d_pobtaf, d_pobtas_lt_stack),
+    "oracle": (oracle.d_pobtaf, _oracle_lt_stack),
+}
+
+
+def _solve_lt(A, P, stack, *, impl="batched", lb=1.6):
+    """Columns of ``stack`` (k, N) through the stacked ``L^T`` solve on P ranks."""
     slices = partition_matrix(A, P, lb=lb)
     n, b = A.n, A.b
+    factorize, solve_lt = IMPLS[impl]
 
     def rank_fn(comm):
         sl = slices[comm.Get_rank()]
-        f = d_pobtaf(sl, comm, batched=batched)
-        return d_pobtas_lt_stack(
-            f,
-            stack[:, sl.part.start * b : sl.part.stop * b],
-            stack[:, n * b :],
-            comm,
-            batched=batched,
-        )
+        f = factorize(sl, comm)
+        return solve_lt(f, stack[:, sl.part.start * b : sl.part.stop * b], stack[:, n * b :], comm)
 
     out = run_spmd(P, rank_fn)
     return np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
 
 
-@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("impl", ["oracle", "batched"])
 @pytest.mark.parametrize("P", [2, 3])
 @pytest.mark.parametrize("shape", [(7, 3, 2), (6, 2, 0), (10, 3, 4)])
-def test_covariance_identity(shape, P, batched, rng):
-    """``L^{-T}`` applied to I gives M with ``M M^T = A^{-1}`` exactly."""
+def test_covariance_identity(shape, P, impl, rng):
+    """``L^{-T}`` applied to I gives M with ``M M^T = A^{-1}`` exactly,
+    for the production path and for the per-block oracle."""
     n, b, a = shape
     A = BTAMatrix.random_spd(BTAShape(n=n, b=b, a=a), rng)
     Ad = A.to_dense()
-    M = _solve_lt(A, P, np.eye(A.N), batched=batched).T  # columns of L^{-T}
+    M = _solve_lt(A, P, np.eye(A.N), impl=impl).T  # columns of L^{-T}
     assert np.allclose(M @ M.T, np.linalg.inv(Ad), atol=1e-10)
 
 
@@ -61,27 +70,24 @@ def test_quadratic_form_identity(P, rng):
     )
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_stack_matches_looped(batched, rng):
-    """One stacked pass equals per-RHS d_pobtas_lt calls (1e-12; the
-    only difference is GEMV-vs-GEMM low bits on the panel operands)."""
+@pytest.mark.parametrize("impl", ["oracle", "batched"])
+def test_stack_matches_looped(impl, rng):
+    """One stacked pass equals per-RHS ``L^T`` solves (1e-12; the only
+    difference is GEMV-vs-GEMM low bits on the panel operands), looped
+    through the production ``d_pobtas_lt`` or the per-block oracle."""
     A = BTAMatrix.random_spd(BTAShape(n=8, b=3, a=2), rng)
     P, n, b = 2, A.n, A.b
     Z = rng.standard_normal((4, A.N))
-    stacked = _solve_lt(A, P, Z, batched=batched)
+    stacked = _solve_lt(A, P, Z)
     slices = partition_matrix(A, P, lb=1.6)
+    factorize = IMPLS[impl][0]
+    solve_lt = d_pobtas_lt if impl == "batched" else oracle.d_pobtas_lt
 
     def rank_fn(comm):
         sl = slices[comm.Get_rank()]
-        f = d_pobtaf(sl, comm, batched=batched)
+        f = factorize(sl, comm)
         cols = [
-            d_pobtas_lt(
-                f,
-                Z[j, sl.part.start * b : sl.part.stop * b],
-                Z[j, n * b :],
-                comm,
-                batched=batched,
-            )
+            solve_lt(f, Z[j, sl.part.start * b : sl.part.stop * b], Z[j, n * b :], comm)
             for j in range(Z.shape[0])
         ]
         return np.stack([c[0] for c in cols]), np.stack([c[1] for c in cols])

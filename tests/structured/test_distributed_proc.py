@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.comm import SpmdSession, run_spmd
+from repro.errors import NotPositiveDefiniteError
 from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
 from repro.structured.d_pobtas import d_pobtas
@@ -25,11 +26,11 @@ from repro.structured.factor import (
     d_factorize,
     d_factorize_proc,
 )
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.multirhs import d_pobtas_stack
 from repro.structured.pobtaf import pobtaf
 from repro.structured.pobtas import pobtas
 from repro.structured.pobtasi import selected_inverse_diagonal
+from tests import oracle
 
 
 def _case(n=11, b=3, a=2, seed=0):
@@ -37,16 +38,25 @@ def _case(n=11, b=3, a=2, seed=0):
     return BTAMatrix.random_spd(BTAShape(n=n, b=b, a=a), rng)
 
 
-def _epoch(comm, slices, rhs, batched):
-    """One full distributed epoch: factorize, logdet, solve, selinv diag."""
+def _epoch(comm, slices, rhs, impl):
+    """One full distributed epoch: factorize, logdet, solve, selinv diag.
+
+    ``impl="oracle"`` factorizes, reduces the logdet and solves with the
+    per-block oracle; the diagonal sweep then runs on the oracle factors.
+    """
     sl = slices[comm.Get_rank()]
     b, start, stop = sl.diag.shape[1], sl.part.start, sl.part.stop
-    f = d_pobtaf(sl, comm, batched=batched)
-    ld = f.logdet(comm, batched=batched)
     n_total = rhs.shape[0]  # n*b + a; tip lives past the block section
-    tip_at = n_total - f.a
-    xl, xt = d_pobtas(f, rhs[start * b : stop * b], rhs[tip_at:], comm, batched=batched)
-    var_local, var_tip = d_pobtasi_diag(f, batched=batched)
+    rhs_local, rhs_tip = rhs[start * b : stop * b], rhs[n_total - sl.a :]
+    if impl == "oracle":
+        f = oracle.d_pobtaf(sl, comm)
+        ld = oracle.d_logdet(f, comm)
+        xl, xt = oracle.d_pobtas(f, rhs_local, rhs_tip, comm)
+    else:
+        f = d_pobtaf(sl, comm)
+        ld = f.logdet(comm)
+        xl, xt = d_pobtas(f, rhs_local, rhs_tip, comm)
+    var_local, var_tip = d_pobtasi_diag(f)
     return ld, xl, xt, var_local, var_tip
 
 
@@ -73,15 +83,15 @@ def _assemble(out, tip_index):
 
 class TestProcMatchesThreadsAndSequential:
     @pytest.mark.parametrize("P", [2, 4])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_epoch_bitwise_and_vs_sequential(self, P, batched):
+    @pytest.mark.parametrize("impl", ["oracle", "batched"])
+    def test_epoch_bitwise_and_vs_sequential(self, P, impl):
         A = _case()
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(A.n * A.b + A.a)
         slices = partition_matrix(A, P, lb=1.6)
 
-        proc = run_spmd(P, _epoch, slices, rhs, batched, backend="proc")
-        thr = run_spmd(P, _epoch, slices, rhs, batched, backend="threads")
+        proc = run_spmd(P, _epoch, slices, rhs, impl, backend="proc")
+        thr = run_spmd(P, _epoch, slices, rhs, impl, backend="threads")
 
         # Bit-identity between backends: same ordered reductions.
         for po, to in zip(proc, thr):
@@ -89,12 +99,17 @@ class TestProcMatchesThreadsAndSequential:
             for pa, ta in zip(po[1:], to[1:]):
                 assert np.array_equal(pa, ta)
 
-        # 1e-10 agreement with the sequential solver.
-        chol = pobtaf(A, batched=batched)
+        # 1e-10 agreement with the sequential solver of the same impl.
         ld, x, var = _assemble(proc, A.n * A.b)
-        assert np.isclose(ld, chol.logdet(batched=batched), atol=1e-10)
-        assert np.allclose(x, pobtas(chol, rhs, batched=batched), atol=1e-10)
-        assert np.allclose(var, selected_inverse_diagonal(chol, batched=batched), atol=1e-10)
+        if impl == "oracle":
+            chol = oracle.pobtaf(A)
+            ref = oracle.logdet(chol), oracle.pobtas(chol, rhs), oracle.pobtasi(chol).diagonal()
+        else:
+            chol = pobtaf(A)
+            ref = chol.logdet(), pobtas(chol, rhs), selected_inverse_diagonal(chol)
+        assert np.isclose(ld, ref[0], atol=1e-10)
+        assert np.allclose(x, ref[1], atol=1e-10)
+        assert np.allclose(var, ref[2], atol=1e-10)
 
     def test_not_positive_definite_propagates(self):
         A = _case()
@@ -107,15 +122,17 @@ class TestProcMatchesThreadsAndSequential:
 
 
 class TestProcFactorHandle:
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_epoch_reuse_matches_thread_handle(self, batched):
+    def test_epoch_reuse_matches_thread_handle(self):
         A = _case(seed=3)
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal(A.N)
         stack = rng.standard_normal((3, A.N))
 
-        ref: DistributedBTAFactor = d_factorize(A, 4, batched=batched)
-        with d_factorize_proc(A, 4, batched=batched) as h:
+        ref: DistributedBTAFactor = d_factorize(A, 4)
+        chol = oracle.pobtaf(A)
+        assert np.isclose(ref.logdet(), oracle.logdet(chol), atol=1e-10)
+        assert np.allclose(ref.solve(rhs), oracle.pobtas(chol, rhs), atol=1e-10)
+        with d_factorize_proc(A, 4) as h:
             assert isinstance(h, ProcDistributedBTAFactor)
             assert (h.P, h.n, h.b, h.a, h.N) == (ref.P, ref.n, ref.b, ref.a, ref.N)
             # One factorization epoch, many solve epochs against resident

@@ -19,6 +19,7 @@ from repro.structured.d_pobtas import d_pobtas
 from repro.structured.d_pobtasi import d_pobtasi, d_pobtasi_diag, gather_selected_inverse
 from repro.structured.pobtaf import pobtaf
 from repro.structured.pobtasi import pobtasi
+from tests import oracle
 
 
 def _case(n, b, a, seed=0):
@@ -166,15 +167,17 @@ class TestDistributedDiagonalOnly:
             assert np.array_equal(full[0], carry[0])
             assert np.array_equal(full[1], carry[1])
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_matches_dense_inverse(self, batched):
+    @pytest.mark.parametrize("factorizer", [oracle.d_pobtaf, d_pobtaf], ids=["oracle", "batched"])
+    def test_matches_dense_inverse(self, factorizer):
+        """The diagonal sweep over the production factors and over the
+        per-block oracle's factors both match the dense inverse."""
         A, Ad, _ = _case(10, 3, 2, seed=31)
         P = 3
         slices = partition_matrix(A, P, lb=1.0)
 
         def rank_fn(comm):
-            f = d_pobtaf(slices[comm.Get_rank()], comm, batched=batched)
-            return f.part, d_pobtasi_diag(f, batched=batched)
+            f = factorizer(slices[comm.Get_rank()], comm)
+            return f.part, d_pobtasi_diag(f)
 
         out = run_spmd(P, rank_fn)
         diag = np.empty(A.N)

@@ -20,6 +20,9 @@ from repro.structured.pobtasi import (
     selected_inverse_diagonal,
     solve_and_selected_inverse_diagonal,
 )
+from tests import oracle
+
+ATOL = 1e-10
 
 
 def _case(n=10, b=3, a=2, seed=7):
@@ -29,83 +32,99 @@ def _case(n=10, b=3, a=2, seed=7):
 
 
 @pytest.mark.filterwarnings("always::repro.inla.solvers.OneShotDeprecationWarning")
-@pytest.mark.parametrize("batched", [False, True])
 class TestHandleLegacyEquivalence:
-    """factorize(A).<op>() bit-identical to the one-shot API, both paths.
+    """factorize(A).<op>() bit-identical to the one-shot API, and within
+    1e-10 of the per-block oracle.
 
     These are the deprecated wrappers' own equivalence tests, so they opt
     back out of the repo-wide warning-as-error escalation."""
 
-    def test_logdet(self, batched):
+    def test_logdet(self):
         A, Ad, _ = _case()
-        sv = SequentialSolver(batched=batched)
+        sv = SequentialSolver()
         assert sv.factorize(A.copy()).logdet() == sv.logdet(A.copy())
         assert np.isclose(sv.factorize(A.copy()).logdet(), np.linalg.slogdet(Ad)[1])
+        assert np.isclose(sv.logdet(A.copy()), oracle.logdet(oracle.pobtaf(A)), atol=ATOL)
 
-    def test_solve(self, batched):
+    def test_solve(self):
         A, Ad, rng = _case()
         rhs = rng.standard_normal(A.N)
-        sv = SequentialSolver(batched=batched)
+        sv = SequentialSolver()
         f = sv.factorize(A.copy())
         ld, x = sv.logdet_and_solve(A.copy(), rhs)
         assert f.logdet() == ld
         assert (f.solve(rhs) == x).all()
         assert np.allclose(Ad @ x, rhs)
+        assert np.allclose(x, oracle.pobtas(oracle.pobtaf(A), rhs), atol=ATOL)
 
-    def test_selected_inverse_diagonal(self, batched):
+    def test_selected_inverse_diagonal(self):
         A, Ad, _ = _case()
-        sv = SequentialSolver(batched=batched)
+        sv = SequentialSolver()
         d_handle = sv.factorize(A.copy()).selected_inverse_diagonal()
         d_oneshot = sv.selected_inverse_diagonal(A.copy())
         assert (d_handle == d_oneshot).all()
         assert np.allclose(d_handle, np.diag(np.linalg.inv(Ad)))
+        assert np.allclose(d_handle, oracle.pobtasi(oracle.pobtaf(A)).diagonal(), atol=ATOL)
 
-    def test_solve_stack(self, batched):
+    def test_solve_stack(self):
         A, _, rng = _case()
         S = rng.standard_normal((5, A.N))
-        sv = SequentialSolver(batched=batched)
+        sv = SequentialSolver()
         f = sv.factorize(A.copy())
         ld, X = sv.solve_stack(A.copy(), S)
         assert f.logdet() == ld
         assert (f.solve_stack(S) == X).all()
+        assert np.allclose(X, oracle.pobtas(oracle.pobtaf(A), S.T).T, atol=ATOL)
 
-    def test_solve_lt_stack(self, batched):
+    def test_solve_lt_stack(self):
         A, _, rng = _case()
         S = rng.standard_normal((4, A.N))
-        sv = SequentialSolver(batched=batched)
+        sv = SequentialSolver()
         f = sv.factorize(A.copy())
-        assert (f.solve_lt_stack(S) == sv.solve_lt_stack(A.copy(), S)).all()
+        X = sv.solve_lt_stack(A.copy(), S)
+        assert (f.solve_lt_stack(S) == X).all()
+        assert np.allclose(X, oracle.pobtas_lt(oracle.pobtaf(A), S.T).T, atol=ATOL)
 
-    def test_fused_solve_and_variances(self, batched):
+    def test_fused_solve_and_variances(self):
         A, _, rng = _case()
         rhs = rng.standard_normal(A.N)
-        sv = SequentialSolver(batched=batched)
+        sv = SequentialSolver()
         f = sv.factorize(A.copy())
         ld, x, var = sv.solve_and_selected_inverse_diagonal(A.copy(), rhs)
         x2, var2 = f.solve_and_selected_inverse_diagonal(rhs)
         assert f.logdet() == ld
         assert (x2 == x).all() and (var2 == var).all()
+        ref = oracle.pobtaf(A)
+        assert np.allclose(x, oracle.pobtas(ref, rhs), atol=ATOL)
+        assert np.allclose(var, oracle.pobtasi(ref).diagonal(), atol=ATOL)
 
 
-@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("ref", ["batched", "oracle"])
 class TestDiagonalOnlySelectedInversion:
-    """The carry-based diagonal recursion matches the full pobtasi."""
+    """The carry-based diagonal recursion matches the full ``pobtasi``
+    bit for bit, and the per-block oracle's full recursion to 1e-10."""
 
     @pytest.mark.parametrize("shape", [(10, 3, 2), (6, 4, 0), (1, 3, 2), (2, 2, 1)])
-    def test_matches_full(self, batched, shape):
+    def test_matches_full(self, ref, shape):
         n, b, a = shape
         A, _, _ = _case(n, b, a)
-        chol = pobtaf(A, batched=batched)
-        d_full = pobtasi(chol, batched=batched).diagonal()
-        d_diag = selected_inverse_diagonal(chol, batched=batched)
-        assert (d_full == d_diag).all() if batched else np.allclose(d_full, d_diag)
+        chol = pobtaf(A)
+        d_diag = selected_inverse_diagonal(chol)
+        if ref == "batched":
+            assert (pobtasi(chol).diagonal() == d_diag).all()
+        else:
+            d_full = oracle.pobtasi(oracle.pobtaf(A)).diagonal()
+            assert np.allclose(d_full, d_diag, atol=ATOL)
 
-    def test_fused_matches_with_solve(self, batched):
+    def test_fused_matches_with_solve(self, ref):
         A, _, rng = _case()
         rhs = rng.standard_normal(A.N)
-        chol = pobtaf(A, batched=batched)
-        X, x_ref = pobtasi_with_solve(chol, rhs, batched=batched)
-        x, var = solve_and_selected_inverse_diagonal(chol, rhs, batched=batched)
+        chol = pobtaf(A)
+        if ref == "batched":
+            X, x_ref = pobtasi_with_solve(chol, rhs)
+        else:
+            X, x_ref = oracle.pobtasi(oracle.pobtaf(A)), oracle.pobtas(oracle.pobtaf(A), rhs)
+        x, var = solve_and_selected_inverse_diagonal(chol, rhs)
         assert np.allclose(x, x_ref, atol=1e-12)
         assert np.allclose(var, X.diagonal(), atol=1e-12)
 

@@ -1,8 +1,8 @@
-"""Theta-batched factorization: one sweep vs per-theta, both paths.
+"""Theta-batched factorization: one sweep vs per-theta handles and oracle.
 
-``factorize_batch`` must be bit-identical to the per-theta batched
-handles at any ``t`` (the chain runs the same per-slab operations), agree
-with the looped ``REPRO_BATCHED=0`` reference to 1e-10, count exactly one
+``factorize_batch`` must be bit-identical to the per-theta handles at any
+``t`` (the chain runs the same per-slab operations), agree with the
+looped per-block oracle (``tests/oracle``) to 1e-10, count exactly one
 factorization sweep per call, and serve full per-theta ``BTAFactor``
 views off the shared stacks with zero further ``pobtaf``.
 """
@@ -12,9 +12,10 @@ import pytest
 
 from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.factor import factorize
-from repro.structured.kernels import NotPositiveDefiniteError
+from repro.errors import NotPositiveDefiniteError
 from repro.structured.multifactor import factorize_batch
 from repro.structured.pobtaf import FACTORIZATIONS
+from tests import oracle
 
 
 def _stencil(t=7, n=8, b=4, a=3, seed=42):
@@ -28,32 +29,33 @@ def _stencil(t=7, n=8, b=4, a=3, seed=42):
 
 class TestAgainstPerTheta:
     def test_bit_identical_to_batched_handles(self):
-        """Every theta slab runs the same ops as factorize(batched=True)."""
+        """Every theta slab runs the same ops as factorize()."""
         mats, rhs = _stencil()
         batch = factorize_batch([A.copy() for A in mats])
         lds = batch.logdets()
         xs = batch.solve_each(rhs)
         for j, A in enumerate(mats):
-            f = factorize(A.copy(), batched=True)
+            f = factorize(A.copy())
             assert lds[j] == f.logdet()
             assert np.array_equal(xs[j], f.solve(rhs[j]))
 
     def test_matches_looped_reference_path(self):
-        """1e-10 agreement with the looped REPRO_BATCHED=0 reference."""
+        """1e-10 agreement with the looped per-block oracle."""
         mats, rhs = _stencil()
         batch = factorize_batch([A.copy() for A in mats])
         lds = batch.logdets()
         xs = batch.solve_each(rhs)
         for j, A in enumerate(mats):
-            f = factorize(A.copy(), batched=False)
-            assert abs(lds[j] - f.logdet()) < 1e-10 * max(1.0, abs(f.logdet()))
-            assert np.max(np.abs(xs[j] - f.solve(rhs[j]))) < 1e-10
+            chol = oracle.pobtaf(A)
+            ld = oracle.logdet(chol)
+            assert abs(lds[j] - ld) < 1e-10 * max(1.0, abs(ld))
+            assert np.max(np.abs(xs[j] - oracle.pobtas(chol, rhs[j]))) < 1e-10
 
     def test_single_theta_bit_identical(self):
-        """t = 1 is bit-for-bit the sequential batched path."""
+        """t = 1 is bit-for-bit the sequential path."""
         mats, rhs = _stencil(t=1)
         batch = factorize_batch([mats[0].copy()])
-        f = factorize(mats[0].copy(), batched=True)
+        f = factorize(mats[0].copy())
         assert batch.logdets()[0] == f.logdet()
         assert np.array_equal(batch.solve_each(rhs[:1])[0], f.solve(rhs[0]))
         v = batch.factor(0)
@@ -67,7 +69,7 @@ class TestAgainstPerTheta:
         xs = batch.solve_each(rhs)
         assert batch.arrow_flat is None
         for j, A in enumerate(mats):
-            f = factorize(A.copy(), batched=True)
+            f = factorize(A.copy())
             assert lds[j] == f.logdet()
             assert np.array_equal(xs[j], f.solve(rhs[j]))
 
@@ -75,7 +77,7 @@ class TestAgainstPerTheta:
         mats, rhs = _stencil(t=3, n=1, b=5, a=2)
         batch = factorize_batch([A.copy() for A in mats])
         for j, A in enumerate(mats):
-            f = factorize(A.copy(), batched=True)
+            f = factorize(A.copy())
             assert batch.logdets()[j] == f.logdet()
             assert np.array_equal(batch.solve_each(rhs)[j], f.solve(rhs[j]))
 
@@ -93,7 +95,7 @@ class TestPerThetaViews:
     def test_views_share_storage_and_serve_everything(self):
         mats, rhs = _stencil(t=4)
         batch = factorize_batch(mats)
-        refs = [factorize(A.copy(), batched=True) for A in mats]
+        refs = [factorize(A.copy()) for A in mats]
         c0 = FACTORIZATIONS.count
         for j in range(batch.t):
             v = batch.factor(j)

@@ -78,7 +78,7 @@ class TestFactorizeBatchStacks:
         assert np.shares_memory(fb.tip, stack.tip)
         # Values still match the per-theta handles.
         for j, A in enumerate(mats):
-            f = factorize(A.copy(), batched=True)
+            f = factorize(A.copy())
             assert np.isclose(fb.factor(j).logdet(), f.logdet(), atol=1e-10)
 
     def test_per_theta_agreement(self):
@@ -88,5 +88,5 @@ class TestFactorizeBatchStacks:
         rhs = rng.standard_normal((4, mats[0].N))
         xs = fb.solve_each(rhs)
         for j, A in enumerate(mats):
-            x_ref = factorize(A.copy(), batched=True).solve(rhs[j])
+            x_ref = factorize(A.copy()).solve(rhs[j])
             assert np.allclose(xs[j], x_ref, atol=1e-10)

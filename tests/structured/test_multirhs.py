@@ -4,8 +4,8 @@ The contracts under test (see :mod:`repro.structured.multirhs`):
 
 - a stacked solve with ``k = 1`` is bit-for-bit identical to the
   per-RHS entry points (they share the panel-sweep kernels);
-- for any ``k`` the stacked batched path agrees with the looped
-  per-RHS reference (``REPRO_BATCHED=0`` semantics) to 1e-10;
+- for any ``k`` the stacked path agrees with the looped per-RHS solve and
+  with the looped per-block oracle (``tests/oracle``) to 1e-10;
 - degenerate shapes (``a = 0``, ``n = 1``, ``k = 0``) and
   non-contiguous / strided stacks are handled;
 - the caller's stack is never mutated;
@@ -31,6 +31,7 @@ from repro.structured.multirhs import (
 from repro.structured.pobtaf import pobtaf
 from repro.structured.pobtas import pobtas, pobtas_lt
 from repro.structured.pobtasi import pobtasi, pobtasi_with_solve
+from tests import oracle
 
 
 def _case(n, b, a, seed=0):
@@ -58,30 +59,34 @@ class TestStackNormalization:
             as_rhs_stack(np.zeros((2, 3, 7)), 7)
 
 
+def _check_k1(got, want, ref: str) -> None:
+    """Bitwise against the per-RHS entry point; 1e-10 against the oracle."""
+    if ref == "batched":
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
 class TestStackedEqualsUnstacked:
-    """k = 1 must be bit-for-bit the per-RHS path — both kernel paths."""
+    """k = 1 must be bit-for-bit the per-RHS path, and within 1e-10 of
+    the per-block oracle."""
 
     @pytest.mark.parametrize("n,b,a", SHAPES)
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_solve_bitwise(self, n, b, a, batched):
+    @pytest.mark.parametrize("ref", ["batched", "oracle"])
+    def test_solve_bitwise(self, n, b, a, ref):
         _, chol, rng = _case(n, b, a)
         r = rng.standard_normal(chol.N)
-        assert np.array_equal(
-            pobtas_stack(chol, r, batched=batched), pobtas(chol, r, batched=batched)
-        )
-        assert np.array_equal(
-            pobtas_stack(chol, r[None], batched=batched)[0],
-            pobtas(chol, r, batched=batched),
-        )
+        want = pobtas(chol, r) if ref == "batched" else oracle.pobtas(chol, r)
+        _check_k1(pobtas_stack(chol, r), want, ref)
+        _check_k1(pobtas_stack(chol, r[None])[0], want, ref)
 
     @pytest.mark.parametrize("n,b,a", SHAPES)
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_lt_bitwise(self, n, b, a, batched):
+    @pytest.mark.parametrize("ref", ["batched", "oracle"])
+    def test_lt_bitwise(self, n, b, a, ref):
         _, chol, rng = _case(n, b, a)
         r = rng.standard_normal(chol.N)
-        assert np.array_equal(
-            pobtas_lt_stack(chol, r, batched=batched), pobtas_lt(chol, r, batched=batched)
-        )
+        want = pobtas_lt(chol, r) if ref == "batched" else oracle.pobtas_lt(chol, r)
+        _check_k1(pobtas_lt_stack(chol, r), want, ref)
 
 
 class TestStackedAgreesWithLooped:
@@ -90,18 +95,20 @@ class TestStackedAgreesWithLooped:
     def test_solve(self, n, b, a, k):
         _, chol, rng = _case(n, b, a)
         S = rng.standard_normal((k, chol.N))
-        looped = np.stack([pobtas(chol, S[j], batched=False) for j in range(k)])
-        assert np.max(np.abs(pobtas_stack(chol, S, batched=True) - looped)) < 1e-10
-        assert np.max(np.abs(pobtas_stack(chol, S, batched=False) - looped)) < 1e-10
+        looped = np.stack([oracle.pobtas(chol, S[j]) for j in range(k)])
+        assert np.max(np.abs(pobtas_stack(chol, S) - looped)) < 1e-10
+        looped = np.stack([pobtas(chol, S[j]) for j in range(k)])
+        assert np.max(np.abs(pobtas_stack(chol, S) - looped)) < 1e-10
 
     @pytest.mark.parametrize("n,b,a", SHAPES)
     @pytest.mark.parametrize("k", [2, 64])
     def test_lt(self, n, b, a, k):
         _, chol, rng = _case(n, b, a)
         S = rng.standard_normal((k, chol.N))
-        looped = np.stack([pobtas_lt(chol, S[j], batched=False) for j in range(k)])
-        assert np.max(np.abs(pobtas_lt_stack(chol, S, batched=True) - looped)) < 1e-10
-        assert np.max(np.abs(pobtas_lt_stack(chol, S, batched=False) - looped)) < 1e-10
+        looped = np.stack([oracle.pobtas_lt(chol, S[j]) for j in range(k)])
+        assert np.max(np.abs(pobtas_lt_stack(chol, S) - looped)) < 1e-10
+        looped = np.stack([pobtas_lt(chol, S[j]) for j in range(k)])
+        assert np.max(np.abs(pobtas_lt_stack(chol, S) - looped)) < 1e-10
 
     def test_solves_the_system(self):
         A, chol, rng = _case(10, 4, 2)
@@ -109,21 +116,12 @@ class TestStackedAgreesWithLooped:
         X = pobtas_stack(chol, S)
         assert np.max(np.abs(A.matvec(X.T) - S.T)) < 1e-8
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_env_default_matches_override(self, batched, monkeypatch):
-        _, chol, rng = _case(6, 3, 1)
-        S = rng.standard_normal((4, chol.N))
-        monkeypatch.setenv("REPRO_BATCHED", "1" if batched else "0")
-        assert np.array_equal(pobtas_stack(chol, S), pobtas_stack(chol, S, batched=batched))
-
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_empty_stack(self, batched):
+    @pytest.mark.parametrize("solve", [pobtas_stack, pobtas_lt_stack])
+    def test_empty_stack(self, solve):
         _, chol, _ = _case(4, 3, 2)
-        out = pobtas_stack(chol, np.empty((0, chol.N)), batched=batched)
-        assert out.shape == (0, chol.N)
-        out = pobtas_lt_stack(chol, np.empty((0, chol.N)), batched=batched)
+        out = solve(chol, np.empty((0, chol.N)))
         assert out.shape == (0, chol.N)
 
     def test_input_not_mutated(self):
@@ -156,13 +154,15 @@ class TestEdgeCases:
 
 class TestFusedSelectedInversionSolve:
     @pytest.mark.parametrize("n,b,a", SHAPES)
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_matches_separate_passes(self, n, b, a, batched):
+    @pytest.mark.parametrize("ref", ["batched", "oracle"])
+    def test_matches_separate_passes(self, n, b, a, ref):
         _, chol, rng = _case(n, b, a)
         rhs = rng.standard_normal((chol.N, 3))
-        X, x = pobtasi_with_solve(chol, rhs, batched=batched)
-        X0 = pobtasi(chol, batched=False)
-        x0 = pobtas(chol, rhs, batched=False)
+        X, x = pobtasi_with_solve(chol, rhs)
+        if ref == "batched":
+            X0, x0 = pobtasi(chol), pobtas(chol, rhs)
+        else:
+            X0, x0 = oracle.pobtasi(chol), oracle.pobtas(chol, rhs)
         for blk in ("diag", "lower", "arrow", "tip"):
             got, ref = getattr(X, blk), getattr(X0, blk)
             assert got.shape == ref.shape

@@ -1,11 +1,12 @@
-"""Reduced-system factorization: shared (once per epoch) vs redundant.
+"""Reduced-system factorization: once per epoch, shared by every rank.
 
 The ``2P-1``-block separator system used to be factorized by EVERY rank;
 ``factorize_reduced`` runs one sweep on rank 0 and broadcasts the factor.
-These tests pin (a) bit-identity between the two schemes at P=2,4,8 on
-both ``REPRO_BATCHED`` settings, (b) the ``FACTORIZATIONS`` sweep count
-dropping from P per epoch to 1, and (c) full-pipeline agreement with the
-sequential solver under the shared scheme.
+These tests pin (a) bit-identity of every rank's broadcast factor with a
+sequential ``pobtaf`` of the same reduced matrix at P=2,4,8 (and 1e-10
+agreement with the per-block oracle), (b) the ``FACTORIZATIONS`` sweep
+count of one per epoch, and (c) full-pipeline agreement with the
+sequential solver and with the per-block oracle.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
 from repro.structured.d_pobtas import d_pobtas
 from repro.structured.pobtaf import FACTORIZATIONS, pobtaf
 from repro.structured.pobtas import pobtas
-from repro.structured.reduced_system import factorize_reduced, reduced_mode
+from tests import oracle
 
 
 def _case(n, b, a, seed=0):
@@ -30,65 +31,60 @@ def _factor_bits(chol):
     return f.diag.copy(), f.lower.copy(), f.arrow.copy(), f.tip.copy()
 
 
-def _run_epoch(A, P, batched):
-    """One d_pobtaf epoch under the ambient REPRO_REDUCED setting."""
+def _run_epoch(A, P):
+    """One d_pobtaf epoch: each rank's reduced factor bits, the reduced
+    factor's logdet, and the rank's assembled reduced matrix."""
     slices = partition_matrix(A, P, lb=1.6)
 
     def rank_fn(comm):
         sl = slices[comm.Get_rank()]
-        f = d_pobtaf(sl, comm, batched=batched)
-        return _factor_bits(f.reduced_chol), f.logdet(comm, batched=batched)
+        f = d_pobtaf(sl, comm)
+        # Rank 0 factorized its reduced matrix in place; the others still
+        # hold the assembled (identical) values.
+        reduced = None if comm.Get_rank() == 0 else f.reduced.matrix.copy()
+        return _factor_bits(f.reduced_chol), f.reduced_chol.logdet(), reduced
 
     return run_spmd_threads(P, rank_fn)
 
 
-class TestModeValidation:
-    def test_default_is_shared(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REDUCED", raising=False)
-        assert reduced_mode() == "shared"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCED", "redundant")
-        assert reduced_mode() == "redundant"
-        assert reduced_mode("shared") == "shared"  # argument wins
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown reduced-system mode"):
-            reduced_mode("batched-ish")
-
-
-class TestSharedVsRedundantBitIdentity:
+class TestSharedFactorIdentity:
     @pytest.mark.parametrize("P", [2, 4, 8])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_factor_bits_identical(self, P, batched, monkeypatch):
+    @pytest.mark.parametrize("ref", ["batched", "oracle"])
+    def test_factor_bits_identical(self, P, ref):
+        """Every rank's broadcast factor equals a sequential factorization
+        of the reduced matrix: bitwise against ``pobtaf`` (what each rank
+        would compute on its own), 1e-10 against the per-block oracle."""
         A = _case(2 * P + 3, 3, 2)
-        out = {}
-        for mode in ("shared", "redundant"):
-            monkeypatch.setenv("REPRO_REDUCED", mode)
-            out[mode] = _run_epoch(A, P, batched)
-        for (bits_s, ld_s), (bits_r, ld_r) in zip(out["shared"], out["redundant"]):
-            for arr_s, arr_r in zip(bits_s, bits_r):
-                assert np.array_equal(arr_s, arr_r)  # bitwise, not approx
-            assert ld_s == ld_r
+        out = _run_epoch(A, P)
+        reduced = out[1][2]
+        chol = pobtaf(reduced) if ref == "batched" else oracle.pobtaf(reduced)
+        ld_ref = chol.logdet() if ref == "batched" else oracle.logdet(chol)
+        for bits, ld, _ in out:
+            for arr, arr_ref in zip(bits, _factor_bits(chol)):
+                if ref == "batched":
+                    assert np.array_equal(arr, arr_ref)  # bitwise, not approx
+                else:
+                    assert np.allclose(arr, arr_ref, atol=1e-10)
+            if ref == "batched":
+                assert ld == ld_ref
+            else:
+                assert np.isclose(ld, ld_ref, atol=1e-10)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_all_ranks_hold_identical_factor(self, batched, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCED", "shared")
+    def test_all_ranks_hold_identical_factor(self):
         A = _case(11, 3, 2)
-        out = _run_epoch(A, 4, batched)
+        out = _run_epoch(A, 4)
         bits0 = out[0][0]
-        for bits, _ in out[1:]:
+        for bits, _, _ in out[1:]:
             for arr, arr0 in zip(bits, bits0):
                 assert np.array_equal(arr, arr0)
 
 
 class TestFactorizationCount:
     @pytest.mark.parametrize("P", [2, 4, 8])
-    def test_shared_runs_one_reduced_sweep_per_epoch(self, P, monkeypatch):
+    def test_shared_runs_one_reduced_sweep_per_epoch(self, P):
         """Counter assertion that per-rank redundancy is gone: an epoch is
         P interior eliminations (not counted: they never call pobtaf) plus
         exactly ONE reduced-system sweep — historically it was P."""
-        monkeypatch.setenv("REPRO_REDUCED", "shared")
         A = _case(2 * P + 3, 3, 2)
         slices = partition_matrix(A, P, lb=1.6)
 
@@ -99,59 +95,26 @@ class TestFactorizationCount:
         run_spmd_threads(P, rank_fn)
         assert FACTORIZATIONS.count - before == 1
 
-    @pytest.mark.parametrize("P", [2, 4, 8])
-    def test_redundant_runs_p_sweeps(self, P, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCED", "redundant")
-        A = _case(2 * P + 3, 3, 2)
-        slices = partition_matrix(A, P, lb=1.6)
-
-        def rank_fn(comm):
-            return d_pobtaf(slices[comm.Get_rank()], comm).positions
-
-        before = FACTORIZATIONS.count
-        run_spmd_threads(P, rank_fn)
-        assert FACTORIZATIONS.count - before == P
-
-    def test_explicit_mode_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCED", "redundant")
-        A = _case(9, 3, 2)
-        slices = partition_matrix(A, 3, lb=1.6)
-
-        def rank_fn(comm):
-            sl = slices[comm.Get_rank()]
-            f = d_pobtaf(sl, comm)  # env: redundant
-            chol = factorize_reduced(f.reduced, comm, mode="shared")
-            return _factor_bits(chol)
-
-        before = FACTORIZATIONS.count
-        out = run_spmd_threads(3, rank_fn)
-        # 3 redundant sweeps inside d_pobtaf + 1 shared re-factorization.
-        # (The shared sweep factorizes rank 0's already-factorized copy in
-        # place a second time, so only the sweep COUNT is asserted here.)
-        assert FACTORIZATIONS.count - before == 4
-        assert len(out) == 3
-
 
 class TestSharedPipelineCorrectness:
     @pytest.mark.parametrize("P", [2, 4])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_solve_matches_sequential(self, P, batched, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCED", "shared")
+    @pytest.mark.parametrize("ref", ["batched", "oracle"])
+    def test_solve_matches_sequential(self, P, ref):
         A = _case(11, 3, 2)
         rng = np.random.default_rng(7)
         rhs = rng.standard_normal(A.n * A.b + A.a)
-        ref_ld = pobtaf(A, batched=batched).logdet(batched=batched)
-        x_ref = pobtas(pobtaf(A, batched=batched), rhs, batched=batched)
+        if ref == "batched":
+            ref_ld, x_ref = pobtaf(A).logdet(), pobtas(pobtaf(A), rhs)
+        else:
+            ref_ld, x_ref = oracle.logdet(oracle.pobtaf(A)), oracle.pobtas(oracle.pobtaf(A), rhs)
         slices = partition_matrix(A, P, lb=1.6)
         b, n = A.b, A.n
 
         def rank_fn(comm):
             sl = slices[comm.Get_rank()]
-            f = d_pobtaf(sl, comm, batched=batched)
-            ld = f.logdet(comm, batched=batched)
-            xl, xt = d_pobtas(
-                f, rhs[sl.part.start * b : sl.part.stop * b], rhs[n * b :], comm
-            )
+            f = d_pobtaf(sl, comm)
+            ld = f.logdet(comm)
+            xl, xt = d_pobtas(f, rhs[sl.part.start * b : sl.part.stop * b], rhs[n * b :], comm)
             return ld, xl, xt
 
         out = run_spmd_threads(P, rank_fn)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import NotPositiveDefiniteError
 from repro.structured.bta import BTAMatrix, BTAShape
-from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.pobtaf import pobtaf
 from repro.structured.pobtas import pobtas, pobtas_lt
 from repro.structured.pobtasi import pobtasi, selected_inverse_diagonal

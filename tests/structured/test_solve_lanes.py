@@ -6,8 +6,8 @@ The lanes contract (PR 9 satellite): ``solve_stack_lanes`` /
 lane's GEMM sweeps run at its exact solo width — so the per-lane results
 must be BIT-IDENTICAL to separate ``solve_stack`` calls, on the
 sequential handle, the thread-backed distributed handle, and the
-process-backed handle (proc-vs-threads bit-identity included), with and
-without the batched kernels.
+process-backed handle (proc-vs-threads bit-identity included) — and
+within 1e-10 of the per-block oracle.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 from repro.serving.api import _sweep_grouped
 from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.factor import d_factorize, d_factorize_proc, factorize
+from tests import oracle
 
 WIDTHS = (1, 5, 3)
 
@@ -38,21 +39,21 @@ class TestSequentialLanes:
 
 
 class TestDistributedLanes:
-    @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("P", [2, 3])
-    def test_threads_matches_per_lane(self, P, batched):
+    def test_threads_matches_per_lane(self, P):
         A, stacks = _case()
-        f = d_factorize(A, P, batched=batched)
+        f = d_factorize(A, P)
+        ref = oracle.pobtaf(A)
         for got, s in zip(f.solve_stack_lanes(stacks), stacks):
             assert np.array_equal(got, f.solve_stack(s))
+            assert np.allclose(got, oracle.pobtas(ref, s.T).T, atol=1e-10)
         for got, s in zip(f.solve_lt_stack_lanes(stacks), stacks):
             assert np.array_equal(got, f.solve_lt_stack(s))
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_proc_bitwise_matches_threads(self, batched):
+    def test_proc_bitwise_matches_threads(self):
         A, stacks = _case()
-        thr = d_factorize(A, 3, batched=batched)
-        proc = d_factorize_proc(A, 3, batched=batched)
+        thr = d_factorize(A, 3)
+        proc = d_factorize_proc(A, 3)
         try:
             for pg, tg in zip(proc.solve_stack_lanes(stacks), thr.solve_stack_lanes(stacks)):
                 assert np.array_equal(pg, tg)

@@ -3,9 +3,10 @@
 Runs the benchmark's smoke shape (one mid-sized BTA problem, a few
 seconds) inside the regular test suite so that
 
-- a *correctness* divergence between the batched and per-block kernel
-  paths (> 1e-10) fails every tier-1 run,
-- a *flop-accounting* divergence between the paths fails every tier-1 run,
+- a *correctness* divergence between the batched kernels and the
+  per-block oracle (> 1e-10) fails every tier-1 run,
+- a *flop-accounting* divergence between execution strategies fails
+  every tier-1 run,
 - a gross *performance* regression of the batched path (falling toward or
   below per-block speed) fails every tier-1 run, and
 - with ``pytest --bench-smoke`` the thresholds tighten to the speedups

@@ -4,7 +4,7 @@ The repo has no way to execute GitHub Actions locally, so this test *is*
 the actions-schema lint gate: it validates the workflow file against the
 (subset of the) official workflow JSON schema the file uses, plus the
 semantic invariants CI must keep — the tier-1 command of ``ROADMAP.md``,
-the ``REPRO_BATCHED=0/1`` dual-path matrix over two python versions, and
+the ``numpy``/``mock_device`` backend matrix over two python versions, and
 the benchmark smoke job.  A malformed workflow therefore fails tier-1 on
 this host before it ever reaches GitHub.
 """
@@ -164,13 +164,18 @@ class TestWorkflowSemantics:
         assert "python -m pytest -x -q" in roadmap  # the documented tier-1 line
         assert any("python -m pytest -x -q" in r for r in _runs(_load_workflow()))
 
-    def test_dual_path_matrix(self):
+    def test_single_kernel_path_matrix(self):
+        """One production kernel path: no ``REPRO_BATCHED`` axis; the
+        tier-1 matrix is numpy/mock_device x py3.11/3.12 (4 legs)."""
         doc = _load_workflow()
         tests = doc["jobs"]["tests"]
         matrix = tests["strategy"]["matrix"]
-        assert sorted(matrix["repro-batched"]) == ["0", "1"], "REPRO_BATCHED matrix incomplete"
-        assert len(matrix["python-version"]) >= 2, "need at least two python versions"
-        assert tests["env"]["REPRO_BATCHED"] == "${{ matrix.repro-batched }}"
+        assert "repro-batched" not in matrix
+        assert "REPRO_BATCHED" not in tests["env"]
+        assert "REPRO_BATCHED" not in WORKFLOW.read_text()
+        assert sorted(matrix) == ["python-version", "repro-backend"]
+        assert sorted(matrix["python-version"]) == ["3.11", "3.12"]
+        assert sorted(matrix["repro-backend"]) == ["mock_device", "numpy"]
 
     def test_backend_matrix(self):
         """Tier-1 also runs under the mock device backend (ROADMAP item 1:

@@ -119,6 +119,6 @@ class TestVersioning:
     def test_public_api(self):
         import repro
 
-        assert repro.__version__ == "1.2.0"
+        assert repro.__version__ == "1.3.0"
         assert hasattr(repro, "DALIA")
         assert hasattr(repro, "make_dataset")

@@ -53,5 +53,12 @@ class TestPublicSurface:
         exported = {k for k in ns if not k.startswith("__")}
         assert exported == set(repro.__all__) - {"__version__"}
 
+    def test_historical_error_path(self):
+        """``repro.structured.kernels`` survives only as a re-export."""
+        from repro.structured import kernels
+
+        assert kernels.NotPositiveDefiniteError is repro.errors.NotPositiveDefiniteError
+        assert kernels.__all__ == ["NotPositiveDefiniteError"]
+
     def test_version(self):
         assert isinstance(repro.__version__, str) and repro.__version__
